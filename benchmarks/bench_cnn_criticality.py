@@ -47,7 +47,7 @@ def _bitflip_critical(app, n):
         target = int(rng.integers(total))
         ops = SassOps(target=target, corruptor=model(rng))
         try:
-            observed = app.run(ops)
+            observed = ops.run(app)
         except Exception:
             continue
         if app.is_sdc(golden, observed) and app.is_critical(golden,

@@ -36,7 +36,7 @@ class GPUApplication(ABC):
 
     def golden(self) -> np.ndarray:
         """Convenience fault-free execution."""
-        return self.run(SassOps(precision=self.precision))
+        return SassOps(precision=self.precision).run(self)
 
     def is_sdc(self, golden: np.ndarray, observed: np.ndarray) -> bool:
         """True when the outputs mismatch (the paper's SDC criterion).

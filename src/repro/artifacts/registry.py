@@ -93,11 +93,18 @@ def register_schema(schema: ArtifactSchema) -> ArtifactSchema:
 def _ensure_builtins() -> None:
     """Late-import the built-in schema definitions (breaks import cycles:
     domain modules call into the registry from their ``to_dict`` bodies,
-    and the schema definitions import those same domain modules)."""
+    and the schema definitions import those same domain modules).
+
+    The flag is set only once the import has finished: until then every
+    caller imports, and the import system's module lock makes a thread
+    that arrives while another one is still importing the definitions
+    wait until every built-in kind is registered (the service's HTTP
+    threads race here).
+    """
     global _BUILTINS_LOADED
     if not _BUILTINS_LOADED:
-        _BUILTINS_LOADED = True
         from . import schemas  # noqa: F401  (registers on import)
+        _BUILTINS_LOADED = True
 
 
 def get_schema(kind: str) -> ArtifactSchema:

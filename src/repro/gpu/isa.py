@@ -72,6 +72,11 @@ class Opcode(enum.Enum):
     SST = "SST"
     BAR = "BAR"
 
+    #: members compare by identity, so identity hashing agrees with
+    #: equality and keeps opcode-keyed dict lookups (the per-op SWFI
+    #: tally) out of the Python-level ``Enum.__hash__``
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 

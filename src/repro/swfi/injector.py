@@ -8,7 +8,8 @@ Sec. IV-B.
 
 The golden pass runs through an un-targeted :class:`SassOps`, which counts
 every dynamic instruction as a side effect, so one execution yields both
-the reference output and the Figure 3 profile.
+the reference output and the Figure 3 profile.  Every run goes through
+:meth:`SassOps.run`, which holds the run's IEEE policy.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class SoftwareInjector:
         """Fault-free output, cached; captures the profile as it runs."""
         if self._golden is None:
             ops = SassOps(precision=self.precision)
-            self._golden = self.app.run(ops)
+            self._golden = ops.run(self.app)
             self._profile_counts = ops.profile()
             self._injectable_total = ops.injectable_total
         return self._golden
@@ -117,7 +118,7 @@ class SoftwareInjector:
                       span=span, precision=self.precision)
         try:
             with _wall_clock_limit(timeout):
-                observed = self.app.run(ops)
+                observed = ops.run(self.app)
         except (AppHangError, FloatingPointError, ZeroDivisionError,
                 IndexError, ValueError, OverflowError) as exc:
             return InjectionResult(

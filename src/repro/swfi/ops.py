@@ -21,6 +21,19 @@ then compute in that format (fp16 through ``np.float16``; bf16 as
 binary32 arrays re-rounded to the top 16 bits after every op, the way
 mixed-precision tensor kernels accumulate), while integer and control
 ops are unchanged.
+
+Injectors and the profiler run an application with :meth:`SassOps.run`,
+which holds the IEEE policy for the whole run: corrupted values
+legitimately overflow or turn NaN downstream and the GPU does not trap,
+so every numpy operation of the run, inside the ops or in the app's own
+glue code, executes under one ``np.errstate(all="ignore")`` scope.  The
+ops themselves set no floating-point policy; calling
+``app.run(SassOps())`` directly gets numpy's default warnings.
+
+Every op is on the hot path of a campaign (each injection re-runs the
+whole app), so an op only pays for what it needs: operands already in the
+storage dtype are not cast, and an op wholly outside the injection window
+only advances the opcode tally and the dynamic index.
 """
 
 from __future__ import annotations
@@ -55,7 +68,8 @@ class SassOps:
     output gets corrupted.  ``precision`` selects the float format the
     arithmetic ops compute in; corruptors receive their precision at
     model-bind time (:meth:`repro.swfi.models.FaultModel.__call__`), so
-    the corruptor protocol itself is unchanged.
+    the corruptor protocol itself is unchanged.  ``target``, ``corruptor``
+    and ``span`` are fixed at construction.
     """
 
     def __init__(self, target: Optional[int] = None,
@@ -66,8 +80,8 @@ class SassOps:
         if precision not in ("fp32", "fp16", "bf16"):
             raise ValueError(f"unknown float precision {precision!r}")
         self.precision = precision
-        self._float_dtype = (np.float16 if precision == "fp16"
-                             else np.float32)
+        self._float_dtype = np.dtype(np.float16 if precision == "fp16"
+                                     else np.float32)
         self.counts: Dict[Opcode, int] = {op: 0 for op in Opcode}
         self.other_count = 0
         self.dynamic_index = 0  # position over injectable opcodes
@@ -86,6 +100,23 @@ class SassOps:
         #: execution order (len > 1 iff the span crossed an op boundary)
         self.corrupted_opcodes: List[Opcode] = []
         self.n_corrupted = 0
+        #: the dynamic indices ``[lo, hi)`` whose outputs are corrupted;
+        #: empty (every index is past it) when nothing is targeted
+        if target is None or corruptor is None:
+            self._window_lo = self._window_hi = 0
+        else:
+            self._window_lo, self._window_hi = target, target + span
+
+    def run(self, app, **kwargs):
+        """Execute *app* through this layer under the per-run IEEE policy.
+
+        The one entry point every runner uses: ``app.run(self, **kwargs)``
+        inside a single ``np.errstate(all="ignore")`` scope, so overflow,
+        NaN and division by zero from corrupted values never warn or trap
+        anywhere in the run.
+        """
+        with np.errstate(all="ignore"):
+            return app.run(self, **kwargs)
 
     # -- bookkeeping ------------------------------------------------------------
     @property
@@ -111,13 +142,22 @@ class SassOps:
         n = result.size
         self.counts[opcode] += n
         start = self.dynamic_index
-        self.dynamic_index += n
-        target = self.target
-        if target is None or self.corruptor is None:
-            return result
-        # overlap between [target, target+span) and this op's elements
-        lo = max(target, start)
-        hi = min(target + self.span, start + n)
+        self.dynamic_index = end = start + n
+        if start >= self._window_hi or end <= self._window_lo:
+            return result  # wholly outside the window: counter only
+        return self._corrupt(opcode, result, operands, is_float, start)
+
+    def _corrupt(self, opcode: Opcode, result: np.ndarray,
+                 operands: "tuple", is_float: bool,
+                 start: int) -> np.ndarray:
+        """Corrupt the elements of one op that fall inside the window.
+
+        The window may have started in an earlier op (a multi-thread span
+        crossing an op boundary); the injection is attributed to the
+        first op it corrupts.
+        """
+        lo = max(self._window_lo, start)
+        hi = min(self._window_hi, start + result.size)
         if lo >= hi:
             return result
         result = result.copy()
@@ -136,10 +176,11 @@ class SassOps:
     # -- float coercion and rounding ------------------------------------------------
     def _fp(self, value: ArrayLike) -> np.ndarray:
         """Coerce an operand into the layer's float storage format."""
-        with np.errstate(all="ignore"):  # corrupted values overflow freely
-            if self.precision == "bf16":
-                return _bf16_quantize(np.asarray(value, dtype=np.float32))
-            return np.asarray(value, dtype=self._float_dtype)
+        if self.precision == "bf16":
+            return _bf16_quantize(np.asarray(value, dtype=np.float32))
+        if getattr(value, "dtype", None) == self._float_dtype:
+            return np.asarray(value)  # already stored: no cast
+        return np.asarray(value, dtype=self._float_dtype)
 
     def _fq(self, result: np.ndarray) -> np.ndarray:
         """Round a float op result to the storage format (bf16 only —
@@ -149,31 +190,26 @@ class SassOps:
         return result
 
     # -- float arithmetic -----------------------------------------------------------
-    # (corrupted values legitimately overflow or turn NaN downstream, so
-    # IEEE exception flags are suppressed — the GPU doesn't trap either)
     def fadd(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
         a, b = self._fp(a), self._fp(b)
-        with np.errstate(all="ignore"):
-            return self._record(Opcode.FADD, self._fq(a + b), (a, b), True)
+        return self._record(Opcode.FADD, self._fq(a + b), (a, b), True)
 
     def fmul(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
         a, b = self._fp(a), self._fp(b)
-        with np.errstate(all="ignore"):
-            return self._record(Opcode.FMUL, self._fq(a * b), (a, b), True)
+        return self._record(Opcode.FMUL, self._fq(a * b), (a, b), True)
 
     def ffma(self, a: ArrayLike, b: ArrayLike, c: ArrayLike) -> np.ndarray:
         a, b, c = self._fp(a), self._fp(b), self._fp(c)
-        with np.errstate(all="ignore"):
-            if self.precision == "fp16":
-                # fused: the binary32 product+sum is exact enough that
-                # the final cast is the single rounding (2p+2 <= 24)
-                result = (a.astype(np.float32) * b.astype(np.float32)
-                          + c.astype(np.float32)).astype(np.float16)
-            else:
-                # bf16 FMA accumulates in binary32 and rounds once, the
-                # way tensor-core mixed-precision kernels do
-                result = self._fq(a * b + c)
-            return self._record(Opcode.FFMA, result, (a, b, c), True)
+        if self.precision == "fp16":
+            # fused: the binary32 product+sum is exact enough that
+            # the final cast is the single rounding (2p+2 <= 24)
+            result = (a.astype(np.float32) * b.astype(np.float32)
+                      + c.astype(np.float32)).astype(np.float16)
+        else:
+            # bf16 FMA accumulates in binary32 and rounds once, the
+            # way tensor-core mixed-precision kernels do
+            result = self._fq(a * b + c)
+        return self._record(Opcode.FFMA, result, (a, b, c), True)
 
     # -- int32 arithmetic ----------------------------------------------------------------
     def iadd(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
@@ -191,28 +227,26 @@ class SassOps:
     # -- special functions ------------------------------------------------------------------
     def fsin(self, a: ArrayLike) -> np.ndarray:
         a = self._fp(a)
-        with np.errstate(all="ignore"):
-            result = self._fq(np.sin(a, dtype=self._float_dtype))
-            return self._record(Opcode.FSIN, result, (a,), True)
+        result = self._fq(np.sin(a, dtype=self._float_dtype))
+        return self._record(Opcode.FSIN, result, (a,), True)
 
     def fexp(self, a: ArrayLike) -> np.ndarray:
         a = self._fp(a)
-        with np.errstate(all="ignore"):
-            result = self._fq(np.exp(a, dtype=self._float_dtype))
+        result = self._fq(np.exp(a, dtype=self._float_dtype))
         return self._record(Opcode.FEXP, result, (a,), True)
 
     # -- memory movement -----------------------------------------------------------------------
     def gld(self, values: np.ndarray) -> np.ndarray:
         """Global load: one GLD per element read."""
         values = np.asarray(values)
-        is_float = np.issubdtype(values.dtype, np.floating)
-        return self._record(Opcode.GLD, values.copy(), (values,), is_float)
+        return self._record(Opcode.GLD, values.copy(), (values,),
+                            values.dtype.kind == "f")
 
     def gst(self, values: np.ndarray) -> np.ndarray:
         """Global store: one GST per element written; returns store data."""
         values = np.asarray(values)
-        is_float = np.issubdtype(values.dtype, np.floating)
-        return self._record(Opcode.GST, values.copy(), (values,), is_float)
+        return self._record(Opcode.GST, values.copy(), (values,),
+                            values.dtype.kind == "f")
 
     # -- extended (profiled, not injectable) opcodes --------------------------------
     def _record_extended(self, opcode: Opcode,
@@ -229,10 +263,9 @@ class SassOps:
     def rcp(self, a: ArrayLike) -> np.ndarray:
         """MUFU.RCP: reciprocal on the SFU path."""
         a = self._fp(a)
-        with np.errstate(all="ignore"):
-            result = (np.float32(1.0) / a.astype(np.float32)).astype(
-                self._float_dtype)
-            return self._record_extended(Opcode.RCP, self._fq(result))
+        result = (np.float32(1.0) / a.astype(np.float32)).astype(
+            self._float_dtype)
+        return self._record_extended(Opcode.RCP, self._fq(result))
 
     def shl(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
         a, b = _i32(a), _i32(b)
@@ -255,9 +288,8 @@ class SassOps:
 
     def f2i(self, a: ArrayLike) -> np.ndarray:
         a = self._fp(a)
-        with np.errstate(all="ignore"):
-            return self._record_extended(
-                Opcode.F2I, np.nan_to_num(a).astype(np.int32))
+        return self._record_extended(
+            Opcode.F2I, np.nan_to_num(a).astype(np.int32))
 
     def i2f(self, a: ArrayLike) -> np.ndarray:
         return self._record_extended(
@@ -280,16 +312,22 @@ class SassOps:
 
     def bra(self, condition: bool) -> bool:
         """Branch: one dynamic BRA; corruption flips the direction."""
+        self.counts[Opcode.BRA] += 1
+        index = self.dynamic_index
+        self.dynamic_index = index + 1
+        if index >= self._window_hi or index < self._window_lo:
+            return bool(condition)  # outside the window: counter only
         flag = np.array([1 if condition else 0], dtype=np.int32)
-        flag = self._record(Opcode.BRA, flag, (flag,), False)
+        flag = self._corrupt(Opcode.BRA, flag, (flag,), False, index)
         return bool(flag[0] & 1)
 
 
-def _f32(value: ArrayLike) -> np.ndarray:
-    return np.asarray(value, dtype=np.float32)
+_INT32 = np.dtype(np.int32)
 
 
 def _i32(value: ArrayLike) -> np.ndarray:
+    if getattr(value, "dtype", None) == _INT32:
+        return np.asarray(value)  # already int32: no cast
     return np.asarray(value, dtype=np.int64).astype(np.int32)
 
 

@@ -81,7 +81,7 @@ class InstructionProfile:
 def profile_application(app) -> InstructionProfile:
     """Run *app* once in profile mode and return its instruction mix."""
     ops = SassOps(precision=getattr(app, "precision", "fp32"))
-    app.run(ops)
+    ops.run(app)
     return InstructionProfile(
         app_name=app.name,
         counts=ops.profile(),

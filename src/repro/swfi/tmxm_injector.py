@@ -97,7 +97,7 @@ class TmxmInjector:
 
     def run_golden(self) -> np.ndarray:
         if self._golden is None:
-            self._golden = self.app.run(SassOps(precision=self.precision))
+            self._golden = SassOps(precision=self.precision).run(self.app)
         return self._golden
 
     def inject_one(self, rng: np.random.Generator) -> TmxmInjectionResult:
@@ -132,8 +132,8 @@ class TmxmInjector:
                     value + sign * rel * abs(base), self.precision)
             return corrupted
 
-        observed = self.app.run(SassOps(precision=self.precision),
-                                tile_hook=tile_hook)
+        observed = SassOps(precision=self.precision).run(
+            self.app, tile_hook=tile_hook)
         is_sdc = self.app.is_sdc(golden, observed)
         is_critical = is_sdc and self.app.is_critical(golden, observed)
         return TmxmInjectionResult(is_sdc, is_critical, pattern, layer)

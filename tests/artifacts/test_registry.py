@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,8 @@ from repro.artifacts import (
     schema_fingerprint,
 )
 from repro.errors import ArtifactError, CampaignError
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 BUILTIN_KINDS = ["rtl-report", "pvf-report", "syndrome-db",
                  "campaign-journal", "campaign-metrics", "job-record"]
@@ -40,6 +46,31 @@ class TestRegistry:
     def test_fingerprints_are_stable_across_calls(self):
         for kind in BUILTIN_KINDS:
             assert schema_fingerprint(kind) == schema_fingerprint(kind)
+
+    def test_concurrent_first_use_sees_every_builtin_kind(self):
+        """Threads racing the lazy registration (the service's HTTP
+        handlers do) all wait for the built-in kinds."""
+        script = (
+            "import threading\n"
+            "from repro.artifacts import registry\n"
+            "barrier, errors = threading.Barrier(8), []\n"
+            "def first_use():\n"
+            "    barrier.wait()\n"
+            "    try:\n"
+            "        registry.get_schema('job-record')\n"
+            "    except Exception as exc:\n"
+            "        errors.append(exc)\n"
+            "threads = [threading.Thread(target=first_use)\n"
+            "           for _ in range(8)]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join()\n"
+            "print(len(errors), errors[:1])\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("0 "), done.stdout
 
 
 class TestEnvelope:

@@ -51,6 +51,8 @@ class TestSemantics:
         assert np.array_equal(ops.iadd(a, b), a + b)
         assert np.array_equal(ops.imul(a, b), a * b)
         assert np.array_equal(ops.imad(a, b, a), a * b + a)
+        # Python ints wrap into int32, like a 32-bit register
+        assert ops.iadd(a, 2**31 + 5).tolist() == [-2**31 + 8, -2**31 + 1]
 
     def test_special_functions(self):
         ops = SassOps()
@@ -132,3 +134,60 @@ class TestTargeting:
 
         ops = SassOps(target=0, corruptor=flip)
         assert ops.bra(True) is False
+
+
+class TestInjectionWindow:
+    """Ops outside ``[target, target + span)`` only advance the tally."""
+
+    @staticmethod
+    def _corrupt_to_99(opcode, golden, operands, is_float):
+        return 99.0 if is_float else 99
+
+    def test_empty_op_inside_the_window_is_not_corrupted(self):
+        ops = SassOps(target=1, corruptor=self._corrupt_to_99, span=4)
+        ops.gld(np.zeros(2, np.float32))
+        ops.gst(np.zeros(0, np.float32))
+        assert ops.corrupted_opcodes == [Opcode.GLD]
+        assert ops.dynamic_index == 2
+
+    def test_branches_outside_the_window_keep_their_direction(self):
+        ops = SassOps(target=2, corruptor=lambda op, g, o, f: g ^ 1)
+        assert [ops.bra(c) for c in (True, False, True, False)] == [
+            True, False, False, False]
+        assert ops.counts[Opcode.BRA] == 4
+        assert ops.injected is Opcode.BRA
+
+
+class TestKnownDefects:
+    """Behaviour the op layer should have but does not yet.
+
+    Fixing either changes report bytes, so both wait for a change that
+    may regenerate ``perfbench/digests.json`` (DESIGN.md, "SWFI op
+    layer").  ``strict=True`` turns an accidental fix into a failure.
+    """
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "numpy-scalar results: _record corrupts a reshape(-1) copy and "
+        "returns the clean scalar"))
+    def test_scalar_operand_injection_takes_effect(self):
+        ops = SassOps(target=0,
+                      corruptor=lambda op, golden, operands, f: 99.0)
+        result = ops.fadd(np.float32(1.0), np.float32(2.0))
+        assert ops.injected is Opcode.FADD
+        assert result == 99.0
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "_element indexes broadcast operands by offset % size"))
+    def test_broadcast_operands_are_seen_at_the_element_position(self):
+        seen = {}
+
+        def spy(opcode, golden, operands, is_float):
+            seen["operands"] = operands
+            return golden
+
+        a = np.arange(8, dtype=np.float32).reshape(8, 1)
+        b = np.arange(100, 108, dtype=np.float32).reshape(1, 8)
+        c = np.zeros((8, 8), dtype=np.float32)
+        ops = SassOps(target=13, corruptor=spy)  # element (1, 5)
+        ops.ffma(a, b, c)
+        assert seen["operands"] == (1.0, 105.0, 0.0)
