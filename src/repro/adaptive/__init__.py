@@ -12,8 +12,6 @@ from .controller import (
     STRATEGIES,
     AdaptiveConfig,
     AdaptiveController,
-    initial_horizon,
-    next_horizon,
     required_trials,
 )
 from .runner import (
@@ -28,8 +26,6 @@ __all__ = [
     "AdaptiveConfig",
     "AdaptiveController",
     "AdaptiveResult",
-    "initial_horizon",
-    "next_horizon",
     "required_trials",
     "run_adaptive_campaign",
     "run_adaptive_grid",

@@ -44,8 +44,6 @@ __all__ = [
     "STRATEGIES",
     "AdaptiveConfig",
     "AdaptiveController",
-    "initial_horizon",
-    "next_horizon",
     "required_trials",
 ]
 
@@ -138,36 +136,6 @@ def _take_units(sizes: Sequence[int], horizon: int,
     return new
 
 
-def initial_horizon(sizes: Sequence[int],
-                    config: AdaptiveConfig) -> int:
-    """Warm-up horizon: the prefix covering ``min_per_cell`` injections."""
-    return _take_units(sizes, 0, config.min_per_cell)
-
-
-def next_horizon(trials: int, successes: int, horizon: int,
-                 sizes: Sequence[int], config: AdaptiveConfig) -> int:
-    """One cell's next unit horizon given its tallies at the current one.
-
-    The pure decision function shared by the in-process adaptive
-    runners and the service's moving-horizon shard planner: both must
-    reach the same stop decision from the same journaled tallies.
-    Returns *horizon* unchanged when the cell should stop (converged,
-    plan exhausted, or budget spent).
-    """
-    if horizon < len(sizes) and trials < sum(sizes[:horizon]):
-        # tallies lag the horizon (units still in flight) — no decision
-        return horizon
-    if horizon >= len(sizes):
-        return horizon  # fixed plan exhausted: the budget is spent
-    if trials == 0:
-        return initial_horizon(sizes, config)
-    low, high = wilson_interval(successes, trials, config.confidence)
-    if trials >= config.min_per_cell and high - low <= config.target_ci:
-        return horizon  # converged
-    deficit = max(required_trials(successes, trials, config) - trials, 1)
-    return _take_units(sizes, horizon, deficit)
-
-
 class _Cell:
     """One cell's fixed unit plan plus its running tallies."""
 
@@ -247,6 +215,25 @@ class AdaptiveController:
         if cell.observed > cell.planned:
             cell.planned = cell.observed
 
+    def replay(self, completed: Dict[int, Any]) -> bool:
+        """Re-derive the rounds from journaled unit reports.
+
+        Plans round after round, observing each round's units from
+        *completed*, until the controller stops (returns True) or a
+        planned unit has no report yet (returns False: that round is
+        still in flight, and :attr:`planned_units` is the standing
+        decision).  The service daemon uses this to reach the stop
+        rule of an in-process run from a sharded job's journal.
+        """
+        while True:
+            units = self.next_round()
+            if not units:
+                return True
+            if any(unit.index not in completed for unit in units):
+                return False
+            for unit in units:
+                self.observe(unit, completed[unit.index])
+
     # -- per-cell statistics -------------------------------------------------
     def interval(self, key: str) -> Tuple[float, float]:
         cell = self._cells[key]
@@ -264,6 +251,13 @@ class AdaptiveController:
     def planned_injections(self) -> int:
         return sum(cell.planned_injections
                    for cell in self._cells.values())
+
+    @property
+    def planned_units(self) -> List[WorkUnit]:
+        """Every unit handed out so far, in index order."""
+        return sorted((unit for cell in self._cells.values()
+                       for unit in cell.units[:cell.planned]),
+                      key=lambda unit: unit.index)
 
     @property
     def budget(self) -> int:

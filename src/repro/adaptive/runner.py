@@ -1,12 +1,12 @@
 """Adaptive campaign runners for both fault-injection levels.
 
-These wrap the sequential-sampling :class:`~repro.adaptive.controller.
-AdaptiveController` around the shared engine: each round the controller
-plans a batch of whole work units (always a prefix extension of the
-fixed seed-indexed plan), :func:`repro.campaign.engine.run_units`
-executes it with the controller as ``observer=``, and the loop repeats
-until every cell converged, exhausted its fixed plan, or spent the
-budget.
+Each runner builds the same :class:`~repro.campaign.spec.CampaignSpec`
+as its fixed-size counterpart and runs it under the sequential-sampling
+:class:`~repro.adaptive.controller.AdaptiveController`: each round the
+controller plans a batch of whole work units (always a prefix extension
+of the fixed seed-indexed plan), the engine executes it with the
+controller as ``observer=``, and the loop repeats until every cell
+converged, exhausted its fixed plan, or spent the budget.
 
 Because the executed unit set is a prefix of the fixed plan and units
 merge in index order, the merged report of an adaptive run is
@@ -19,38 +19,15 @@ re-derives every round from the same tallies it saw the first time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
-
 from functools import partial
+from pathlib import Path
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Union
 
-from ..campaign.checkpoint import CampaignCheckpoint
-from ..campaign.engine import (
-    DEFAULT_BATCH_SIZE,
-    WorkUnit,
-    merge_ordered,
-    plan_units,
-    run_units,
-)
+from ..campaign.engine import DEFAULT_BATCH_SIZE
 from ..campaign.progress import ProgressReporter
-from ..campaign.telemetry import (
-    CampaignMetrics,
-    emit_metrics,
-    resolve_metrics,
-)
+from ..campaign.telemetry import CampaignMetrics
 from ..errors import CampaignError
-from ..rng import spawn_seeds
-from .controller import AdaptiveConfig, AdaptiveController
+from .controller import AdaptiveConfig
 
 __all__ = [
     "AdaptiveResult",
@@ -93,18 +70,14 @@ class AdaptiveResult:
         return all(entry["converged"] for entry in self.summary)
 
 
-def _drive(controller: AdaptiveController,
-           run_round: Callable[[List[WorkUnit]], Dict[int, Any]],
-           metrics: Optional[CampaignMetrics]) -> Dict[int, Any]:
-    """Alternate controller rounds with engine runs until it stops."""
-    results: Dict[int, Any] = {}
-    while True:
-        round_units = controller.next_round()
-        if not round_units:
-            return results
-        results.update(run_round(round_units))
-        if metrics is not None:
-            metrics.total_units = None  # adaptive: total is unknowable
+def _run_adaptive(spec, config: Optional[AdaptiveConfig],
+                  **run) -> AdaptiveResult:
+    """Run *spec* under an adaptive controller; merge per cell."""
+    controller = spec.controller(config or AdaptiveConfig())
+    results = spec.run(adaptive=controller, **run)
+    return AdaptiveResult(reports=spec.merge(results),
+                          summary=controller.summary(),
+                          rounds=controller.rounds)
 
 
 def run_adaptive_pvf_campaign(
@@ -134,58 +107,14 @@ def run_adaptive_pvf_campaign(
     interrupted adaptive campaign replays the journal through the
     controller and reaches the same stop decision.
     """
-    from ..swfi.campaign import (
-        PVFReport,
-        _SwfiState,
-        _run_swfi_unit,
-        _swfi_state,
-        pvf_checkpoint_header,
-    )
+    from ..swfi.campaign import _SwfiState, pvf_spec
 
-    config = config or AdaptiveConfig()
-    controller = AdaptiveController(config)
-    units = plan_units(n_injections, seed, batch_size)
-    controller.add_cell(f"{app.name}/{model.name}", units)
-
-    journal: Optional[CampaignCheckpoint] = None
-    if checkpoint is not None:
-        header = pvf_checkpoint_header(app.name, model.name, seed,
-                                       batch_size, n_injections)
-        journal = CampaignCheckpoint(checkpoint, header,
-                                     kind="pvf-report", resume=resume)
-    elif resume:
-        raise CampaignError("resume=True requires a checkpoint path")
-    metrics = resolve_metrics(metrics, checkpoint,
-                              f"adaptive-pvf/{app.name}/{model.name}")
-    state = None
-    if n_jobs == 1 and units:
-        state = _SwfiState(app, model)
-
-    def _round(round_units: List[WorkUnit]) -> Dict[int, Any]:
-        return run_units(
-            round_units,
-            partial(_run_swfi_unit, timeout=timeout),
-            n_jobs=n_jobs,
-            state_factory=partial(_swfi_state, app, model),
-            state=state,
-            checkpoint=journal,
-            observer=controller.observe,
-            progress=progress,
-            metrics=metrics,
-            cancel=cancel,
-        )
-
-    try:
-        results = _drive(controller, _round, metrics)
-    finally:
-        if journal is not None:
-            journal.close()
-    emit_metrics(metrics, checkpoint)
-    report = merge_ordered(results, empty=lambda: PVFReport(
-        app_name=app.name, model_name=model.name))
-    return AdaptiveResult(reports=[report],
-                          summary=controller.summary(),
-                          rounds=controller.rounds)
+    spec = pvf_spec(app.name, model.name, n_injections,
+                    partial(_SwfiState, app, model), seed=seed,
+                    batch_size=batch_size, timeout=timeout)
+    return _run_adaptive(spec, config, n_jobs=n_jobs, checkpoint=checkpoint,
+                         resume=resume, progress=progress, metrics=metrics,
+                         cancel=cancel)
 
 
 def run_adaptive_campaign(
@@ -218,69 +147,14 @@ def run_adaptive_campaign(
     :data:`DEFAULT_BATCH_SIZE` rather than a single whole-campaign
     unit, for the same reason as :func:`run_adaptive_grid`.
     """
-    from ..rtl.campaign import (
-        _BenchSpec,
-        _CellSpec,
-        _plan_cell_units,
-        _rtl_state,
-        _run_rtl_unit,
-        _RTLWorkerState,
-        _validate_bench_module,
-        cell_checkpoint_header,
-    )
-    from ..rtl.reports import CampaignReport
+    from ..rtl.campaign import cell_spec
 
-    config = config or AdaptiveConfig()
-    if n_faults < 0:
-        raise CampaignError("n_faults must be non-negative")
-    _validate_bench_module(bench, module)
-    spec = _CellSpec(bench=_BenchSpec(kind="bench", bench=bench),
-                     module=module, fault_kind=kind)
-    label = f"{bench.name}/{module}"
-    units = _plan_cell_units(spec, n_faults, seed, batch_size,
-                             base_index=0, label=label)
-    controller = AdaptiveController(config)
-    controller.add_cell(label, units)
-
-    journal: Optional[CampaignCheckpoint] = None
-    if checkpoint is not None:
-        header = cell_checkpoint_header(bench, module, kind, n_faults,
-                                        seed, batch_size)
-        journal = CampaignCheckpoint(checkpoint, header,
-                                     kind="rtl-report", resume=resume)
-    elif resume:
-        raise CampaignError("resume=True requires a checkpoint path")
-    metrics = resolve_metrics(metrics, checkpoint, f"adaptive-rtl/{label}")
-    state = None
-    if n_jobs == 1:
-        state = _RTLWorkerState(config=sm_config)
-
-    def _round(round_units: List[WorkUnit]) -> Dict[int, Any]:
-        return run_units(
-            round_units,
-            partial(_run_rtl_unit, timeout=timeout, vectorize=vectorize),
-            n_jobs=n_jobs,
-            state_factory=partial(_rtl_state, sm_config),
-            state=state,
-            checkpoint=journal,
-            observer=controller.observe,
-            progress=progress,
-            metrics=metrics,
-            cancel=cancel,
-        )
-
-    try:
-        results = _drive(controller, _round, metrics)
-    finally:
-        if journal is not None:
-            journal.close()
-    emit_metrics(metrics, checkpoint)
-    report = merge_ordered(results, empty=lambda: CampaignReport(
-        instruction=bench.opcode.value, input_range=bench.input_range,
-        module=module, precision=bench.precision))
-    return AdaptiveResult(reports=[report],
-                          summary=controller.summary(),
-                          rounds=controller.rounds)
+    spec = cell_spec(bench, module, n_faults, seed, kind,
+                     batch_size=batch_size, timeout=timeout,
+                     config=sm_config, vectorize=vectorize)
+    return _run_adaptive(spec, config, n_jobs=n_jobs, checkpoint=checkpoint,
+                         resume=resume, progress=progress, metrics=metrics,
+                         cancel=cancel)
 
 
 def run_adaptive_grid(
@@ -315,116 +189,13 @@ def run_adaptive_grid(
     to a fixed grid truncated at the same unit horizons.
     """
     from ..gpu.isa import CHARACTERIZED_OPCODES
-    from ..rtl.campaign import (
-        _BenchSpec,
-        _CellSpec,
-        _plan_cell_units,
-        _rtl_state,
-        _run_rtl_unit,
-        _RTLWorkerState,
-        modules_for_opcode,
-    )
-    from ..rtl.microbench import INPUT_RANGES
-    from ..rtl.reports import CampaignReport
+    from ..rtl.campaign import grid_spec
 
-    config = config or AdaptiveConfig()
-    if batch_size is not None and batch_size < 1:
-        raise CampaignError("batch_size must be at least 1")
-    opcodes = list(CHARACTERIZED_OPCODES if opcodes is None else opcodes)
-    input_ranges = list(input_ranges)
-    for key in input_ranges:
-        if key not in INPUT_RANGES:
-            raise CampaignError(f"unknown input range {key!r}")
-
-    cell_coords = []
-    for opcode in opcodes:
-        for range_key in input_ranges:
-            for module in modules_for_opcode(opcode, precision):
-                if modules is not None and module not in modules:
-                    continue
-                cell_coords.append((opcode, range_key, module))
-    cell_seeds = spawn_seeds(seed, len(cell_coords))
-
-    controller = AdaptiveController(config)
-    units: List[WorkUnit] = []
-    cell_keys: List[str] = []
-    cell_specs: List[_CellSpec] = []
-    for (opcode, range_key, module), cell_seed in zip(cell_coords,
-                                                      cell_seeds):
-        spec = _CellSpec(
-            bench=_BenchSpec(kind="micro", opcode=opcode.value,
-                             input_range=range_key, seed=cell_seed,
-                             precision=precision),
-            module=module)
-        label = f"{opcode.value}/{range_key}/{module}"
-        cell_units = _plan_cell_units(spec, n_faults, cell_seed,
-                                      batch_size, base_index=len(units),
-                                      label=label)
-        controller.add_cell(label, cell_units)
-        units.extend(cell_units)
-        cell_keys.append(label)
-        cell_specs.append(spec)
-    unit_cell = {}
-    for cell_index, key in enumerate(cell_keys):
-        for unit in controller._cells[key].units:
-            unit_cell[unit.index] = cell_index
-
-    journal: Optional[CampaignCheckpoint] = None
-    if checkpoint is not None:
-        header = {
-            "campaign": "rtl-grid",
-            "opcodes": [o.value for o in opcodes],
-            "input_ranges": list(input_ranges),
-            "modules": None if modules is None else list(modules),
-            "n_faults": int(n_faults),
-            "seed": int(seed),
-            "batch_size": None if batch_size is None else int(batch_size),
-        }
-        if precision != "fp32":
-            header["precision"] = precision
-        journal = CampaignCheckpoint(checkpoint, header,
-                                     kind="rtl-report", resume=resume)
-    elif resume:
-        raise CampaignError("resume=True requires a checkpoint path")
-    metrics = resolve_metrics(metrics, checkpoint, "adaptive-rtl-grid")
-    state = None
-    if n_jobs == 1:
-        state = _RTLWorkerState(config=sm_config)
-
-    def _round(round_units: List[WorkUnit]) -> Dict[int, Any]:
-        return run_units(
-            round_units,
-            partial(_run_rtl_unit, timeout=timeout, vectorize=vectorize),
-            n_jobs=n_jobs,
-            state_factory=partial(_rtl_state, sm_config),
-            state=state,
-            checkpoint=journal,
-            observer=controller.observe,
-            progress=progress,
-            metrics=metrics,
-            cancel=cancel,
-        )
-
-    try:
-        results = _drive(controller, _round, metrics)
-    finally:
-        if journal is not None:
-            journal.close()
-    emit_metrics(metrics, checkpoint)
-
-    per_cell: Dict[int, List[Any]] = {}
-    for index in sorted(results):
-        per_cell.setdefault(unit_cell[index], []).append(results[index])
-    reports: List[Any] = []
-    for cell_index, spec in enumerate(cell_specs):
-        merged = per_cell.get(cell_index)
-        if merged:
-            reports.append(CampaignReport.merge(merged))
-        else:  # budget spent before this cell's warm-up: empty report
-            bench = spec.bench
-            reports.append(CampaignReport(
-                instruction=bench.opcode, input_range=bench.input_range,
-                module=spec.module, precision=bench.precision))
-    return AdaptiveResult(reports=reports,
-                          summary=controller.summary(),
-                          rounds=controller.rounds)
+    spec = grid_spec(CHARACTERIZED_OPCODES if opcodes is None else opcodes,
+                     input_ranges, modules, n_faults, seed,
+                     batch_size=batch_size, timeout=timeout,
+                     config=sm_config, vectorize=vectorize,
+                     precision=precision)
+    return _run_adaptive(spec, config, n_jobs=n_jobs, checkpoint=checkpoint,
+                         resume=resume, progress=progress, metrics=metrics,
+                         cancel=cancel)

@@ -56,42 +56,37 @@ def _grid_stage(workdir: Path, builder, *, seed: int, opcodes,
                 input_ranges, grid_faults: int, tmxm_faults: int,
                 n_jobs: int, batch_size: Optional[int],
                 timeout: Optional[float], fresh: bool,
-                quiet: bool, precision: str = "fp32",
-                cancel: Optional[Callable[[], bool]] = None
+                quiet: bool, precision: str,
+                cancel: Optional[Callable[[], bool]]
                 ) -> List[CampaignMetrics]:
     """Stage 1+2: RTL instruction grid and t-MxM tiles, streamed."""
-    from ..rtl.campaign import run_grid, run_tmxm_grid
-    from ..rtl.injector import RTLInjector
+    from ..rtl.campaign import grid_spec, tmxm_spec
 
-    injector = RTLInjector() if n_jobs == 1 else None
-    grid_journal = workdir / "rtl_grid.jsonl"
-    tmxm_journal = workdir / "tmxm.jsonl"
-    grid_metrics = CampaignMetrics("rtl-grid")
-    tmxm_metrics = CampaignMetrics("rtl-tmxm")
-    progress = make_progress(None, "rtl", quiet=quiet)
-    progress.status(
-        f"[stage 1/3] RTL grid ({grid_faults} faults/cell)"
-        + (" [resuming]" if not fresh and grid_journal.exists() else ""))
-    run_grid(
-        opcodes=opcodes, input_ranges=input_ranges, n_faults=grid_faults,
-        seed=seed, injector=injector, n_jobs=n_jobs,
-        batch_size=batch_size, timeout=timeout,
-        checkpoint=grid_journal, resume=not fresh and grid_journal.exists(),
-        progress=progress, metrics=grid_metrics, cancel=cancel,
-        consume=lambda index, report: builder.add_report(report),
-        collect=False, precision=precision)
-    progress = make_progress(None, "tmxm", quiet=quiet)
-    progress.status(
-        f"[stage 1/3] t-MxM tiles ({tmxm_faults} faults/cell)"
-        + (" [resuming]" if not fresh and tmxm_journal.exists() else ""))
-    run_tmxm_grid(
-        n_faults=tmxm_faults, seed=seed + 1, injector=injector,
-        n_jobs=n_jobs, batch_size=batch_size, timeout=timeout,
-        checkpoint=tmxm_journal, resume=not fresh and tmxm_journal.exists(),
-        progress=progress, metrics=tmxm_metrics, cancel=cancel,
-        consume=lambda index, report: builder.add_tmxm_report(report),
-        collect=False)
-    return [grid_metrics, tmxm_metrics]
+    stages = [
+        ("rtl", f"RTL grid ({grid_faults} faults/cell)", "rtl_grid.jsonl",
+         builder.add_report,
+         grid_spec(opcodes, input_ranges, n_faults=grid_faults, seed=seed,
+                   batch_size=batch_size, timeout=timeout,
+                   precision=precision)),
+        ("tmxm", f"t-MxM tiles ({tmxm_faults} faults/cell)", "tmxm.jsonl",
+         builder.add_tmxm_report,
+         tmxm_spec(n_faults=tmxm_faults, seed=seed + 1,
+                   batch_size=batch_size, timeout=timeout)),
+    ]
+    stage_metrics = []
+    for prefix, title, name, add, spec in stages:
+        journal = workdir / name
+        resume = not fresh and journal.exists()
+        progress = make_progress(None, prefix, quiet=quiet)
+        progress.status(f"[stage 1/3] {title}"
+                        + (" [resuming]" if resume else ""))
+        metrics = CampaignMetrics(spec.stage)
+        spec.run(n_jobs=n_jobs, checkpoint=journal, resume=resume,
+                 progress=progress, metrics=metrics, cancel=cancel,
+                 consume=lambda index, report, add=add: add(report),
+                 collect=False)
+        stage_metrics.append(metrics)
+    return stage_metrics
 
 
 def _make_model(name: str, database):
@@ -192,7 +187,7 @@ def run_pipeline(workdir: Union[str, Path],
             input_ranges=input_ranges, grid_faults=grid_faults,
             tmxm_faults=tmxm_faults, n_jobs=n_jobs,
             batch_size=batch_size, timeout=timeout, fresh=fresh,
-            quiet=quiet, precision=precision)
+            quiet=quiet, precision=precision, cancel=cancel)
         stage_metrics.extend(m.to_dict() for m in rtl_metrics)
         database = builder.build()
         database.save(db_path)

@@ -8,14 +8,18 @@ instruction exercises (functional units only for arithmetic opcodes,
 scheduler and pipeline for all of them — FUs are idle during GLD/GST/BRA/
 ISET, so they are not injected there).
 
-Execution is delegated to the level-agnostic engine in
-:mod:`repro.campaign.engine`: campaigns shard into deterministic
-seed-indexed fault batches (cell-level by default; intra-cell with
-``batch_size``, so one 12 000-fault cell cannot serialise a worker
-pool), fan out over ``n_jobs`` worker processes each owning its own SM
-model, journal completed batches to a JSONL checkpoint, and merge
-per-batch reports in batch order — bit-identical to the serial run for
-a fixed ``(seed, batch_size)``.
+Each campaign shape — one cell, the instruction grid, the t-MxM tile
+grid, a stuck-at signature campaign — is a
+:class:`~repro.campaign.spec.CampaignSpec` built here (``cell_spec``,
+``grid_spec``, ``tmxm_spec``, ``signature_spec``) and run by the shared
+engine: campaigns shard into deterministic seed-indexed fault batches
+(cell-level by default; intra-cell with ``batch_size``, so one
+12 000-fault cell cannot serialise a worker pool), fan out over
+``n_jobs`` worker processes each owning its own SM model, journal
+completed batches to a JSONL checkpoint, and merge per-batch reports in
+batch order — bit-identical to the serial run for a fixed
+``(seed, batch_size)``, and to the adaptive runners and the service's
+shards, which run the same specs.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ from typing import (
     Union,
 )
 
-from ..campaign.checkpoint import CampaignCheckpoint
-from ..campaign.engine import (
+# ``run_units`` stays a module attribute: perfbench/tracing.py wraps it
+# by name, although specs reach the engine through repro.campaign.spec
+from ..campaign.engine import (  # noqa: F401
     UnitTimeout,
     WorkUnit,
     plan_batches,
@@ -44,11 +49,8 @@ from ..campaign.engine import (
     wall_clock_limit,
 )
 from ..campaign.progress import ProgressReporter
-from ..campaign.telemetry import (
-    CampaignMetrics,
-    emit_metrics,
-    resolve_metrics,
-)
+from ..campaign.spec import CampaignSpec, Cell
+from ..campaign.telemetry import CampaignMetrics
 from ..errors import CampaignError
 from ..gpu.fault_plane import (
     FAULT_MODELS,
@@ -75,15 +77,17 @@ from .signatures import SignatureRecord, SignatureReport
 from .tmxm import TILE_KINDS, make_tmxm_bench
 
 __all__ = [
-    "cell_checkpoint_header",
+    "cell_spec",
+    "check_signature_suite",
     "default_signature_apps",
+    "grid_spec",
     "modules_for_opcode",
     "run_campaign",
-    "run_campaign_units",
     "run_grid",
     "run_signature_campaign",
     "run_tmxm_grid",
-    "signature_checkpoint_header",
+    "signature_spec",
+    "tmxm_spec",
     "MODULE_INSTRUCTIONS",
     "TMXM_MODULES",
 ]
@@ -394,82 +398,7 @@ def _run_signature_unit(state: _RTLWorkerState, unit: WorkUnit,
     return report
 
 
-# -- cell batch planning -----------------------------------------------------
-def _plan_cell_units(spec: _CellSpec, n_faults: int, seed: int,
-                     batch_size: Optional[int], base_index: int,
-                     label: str) -> List[WorkUnit]:
-    """Shard one cell's fault list into seed-indexed work units.
-
-    With ``batch_size=None`` the cell is a single unit drawing its
-    faults directly from the cell seed — byte-compatible with the
-    historical serial campaign.  With a batch size, batch *i* draws from
-    child seed *i* of the cell seed, so any worker count or resume
-    boundary reproduces the same fault stream.
-    """
-    if batch_size is None:
-        return [WorkUnit(index=base_index, size=n_faults, seed=seed,
-                         spec=spec, label=label)]
-    sizes = plan_batches(n_faults, batch_size)
-    seeds = spawn_seed_range(seed, 0, len(sizes))
-    return [
-        WorkUnit(index=base_index + i, size=size, seed=batch_seed,
-                 spec=spec, label=f"{label} [{i + 1}/{len(sizes)}]")
-        for i, (size, batch_seed) in enumerate(zip(sizes, seeds))
-    ]
-
-
-def cell_checkpoint_header(bench: Microbenchmark, module: str,
-                           fault_kind: Optional[str], n_faults: int,
-                           seed: int, batch_size: Optional[int],
-                           fault_model: str = "transient") -> dict:
-    """The journal header identifying one cell campaign's unit plan.
-
-    Shared between :func:`run_campaign` and the service daemon's
-    shard-ingest path so both write/resume the same journal.
-    """
-    header = {
-        "campaign": "rtl-cell",
-        "bench": bench.name,
-        "module": module,
-        "fault_kind": fault_kind,
-        "n_faults": int(n_faults),
-        "seed": int(seed),
-        "batch_size": None if batch_size is None else int(batch_size),
-    }
-    # fp32 headers stay byte-identical so pre-precision journals resume
-    if bench.precision != "fp32":
-        header["precision"] = bench.precision
-    # likewise transient headers predate the fault-model layer
-    if fault_model != "transient":
-        header["fault_model"] = fault_model
-    return header
-
-
-def signature_checkpoint_header(module: str, fault_model: str,
-                                fault_kind: Optional[str], n_faults: int,
-                                apps: Sequence[str], seed: int) -> dict:
-    """The journal header identifying one signature campaign's plan."""
-    return {
-        "campaign": "rtl-signature",
-        "module": module,
-        "fault_model": fault_model,
-        "fault_kind": fault_kind,
-        "n_faults": int(n_faults),
-        "apps": list(apps),
-        "seed": int(seed),
-    }
-
-
-def _open_checkpoint(path: Optional[Union[str, Path]], resume: bool,
-                     header: dict) -> Optional[CampaignCheckpoint]:
-    if path is None:
-        if resume:
-            raise CampaignError("resume=True requires a checkpoint path")
-        return None
-    return CampaignCheckpoint(path, header, kind="rtl-report",
-                              resume=resume)
-
-
+# -- campaign specs ----------------------------------------------------------
 def _validate_bench_module(bench: Microbenchmark, module: str) -> None:
     if module not in MODULE_INSTRUCTIONS:
         raise CampaignError(f"unknown module {module!r}")
@@ -489,15 +418,300 @@ def _check_fault_model(fault_model: str) -> None:
             f"choose from {sorted(FAULT_MODELS)}")
 
 
-def _check_jobs(n_jobs: int, injector: Optional[RTLInjector]) -> None:
-    if n_jobs < 1:
-        raise CampaignError("n_jobs must be at least 1")
-    if n_jobs > 1 and injector is not None:
+def _empty_cell_report(spec: _CellSpec) -> CampaignReport:
+    bench = spec.bench.build()
+    return CampaignReport(instruction=bench.opcode.value,
+                          input_range=bench.input_range, module=spec.module,
+                          precision=bench.precision)
+
+
+def _plan_cell(spec: _CellSpec, n_faults: int, seed: int,
+               batch_size: Optional[int], base_index: int,
+               label: str) -> Cell:
+    """Shard one cell's fault list into seed-indexed work units.
+
+    With ``batch_size=None`` the cell is a single unit drawing its
+    faults directly from the cell seed — byte-compatible with the
+    historical serial campaign.  With a batch size, batch *i* draws from
+    child seed *i* of the cell seed, so any worker count or resume
+    boundary reproduces the same fault stream.  A zero-fault cell plans
+    no unit.
+    """
+    if batch_size is None:
+        units = [WorkUnit(index=base_index, size=n_faults, seed=seed,
+                          spec=spec, label=label)] if n_faults else []
+    else:
+        sizes = plan_batches(n_faults, batch_size)
+        seeds = spawn_seed_range(seed, 0, len(sizes))
+        units = [
+            WorkUnit(index=base_index + i, size=size, seed=batch_seed,
+                     spec=spec, label=f"{label} [{i + 1}/{len(sizes)}]")
+            for i, (size, batch_seed) in enumerate(zip(sizes, seeds))
+        ]
+    return Cell(label, units, partial(_empty_cell_report, spec))
+
+
+def _rtl_spec(cells: List[Cell], header: dict, timeout: Optional[float],
+              vectorize, config: Optional[SMConfig]) -> CampaignSpec:
+    return CampaignSpec(
+        cells=cells, header=header, schema="rtl-report",
+        stage=header["campaign"],
+        run_unit=partial(_run_rtl_unit, timeout=timeout, vectorize=vectorize),
+        state_factory=partial(_rtl_state, config))
+
+
+def cell_spec(bench: Microbenchmark, module: str, n_faults: int,
+              seed: int = 0, kind: Optional[str] = None, *,
+              batch_size: Optional[int] = None,
+              timeout: Optional[float] = None,
+              config: Optional[SMConfig] = None,
+              vectorize="auto",
+              fault_model: str = "transient",
+              burst_width: int = 4,
+              burst_window: int = 4) -> CampaignSpec:
+    """The spec of one (workload, module) cell: see :func:`run_campaign`.
+
+    :func:`run_campaign`, the adaptive cell runner and the service's rtl
+    jobs all run this spec, so each resumes the others' journals.
+    """
+    if n_faults < 0:
+        raise CampaignError("n_faults must be non-negative")
+    _validate_bench_module(bench, module)
+    _check_fault_model(fault_model)
+    spec = _CellSpec(bench=_BenchSpec(kind="bench", bench=bench),
+                     module=module, fault_kind=kind,
+                     fault_model=fault_model, burst_width=burst_width,
+                     burst_window=burst_window)
+    header = {
+        "campaign": "rtl-cell",
+        "bench": bench.name,
+        "module": module,
+        "fault_kind": kind,
+        "n_faults": int(n_faults),
+        "seed": int(seed),
+        "batch_size": None if batch_size is None else int(batch_size),
+    }
+    # fp32 headers stay byte-identical so pre-precision journals resume
+    if bench.precision != "fp32":
+        header["precision"] = bench.precision
+    # likewise transient headers predate the fault-model layer
+    if fault_model != "transient":
+        header["fault_model"] = fault_model
+    cell = _plan_cell(spec, n_faults, seed, batch_size, 0,
+                      f"{bench.name}/{module}")
+    return _rtl_spec([cell], header, timeout, vectorize, config)
+
+
+def grid_spec(opcodes: Iterable[Opcode] = CHARACTERIZED_OPCODES,
+              input_ranges: Iterable[str] = ("S", "M", "L"),
+              modules: Optional[Sequence[str]] = None,
+              n_faults: int = 200,
+              seed: int = 0, *,
+              batch_size: Optional[int] = None,
+              timeout: Optional[float] = None,
+              config: Optional[SMConfig] = None,
+              vectorize="auto",
+              precision: str = "fp32") -> CampaignSpec:
+    """The spec of an instruction grid: see :func:`run_grid`."""
+    opcodes = list(opcodes)
+    input_ranges = list(input_ranges)
+    for key in input_ranges:
+        if key not in INPUT_RANGES:
+            raise CampaignError(f"unknown input range {key!r}")
+    coords = [(opcode, range_key, module)
+              for opcode in opcodes for range_key in input_ranges
+              for module in modules_for_opcode(opcode, precision)
+              if modules is None or module in modules]
+    cells: List[Cell] = []
+    base = 0
+    for (opcode, range_key, module), cell_seed in zip(
+            coords, spawn_seeds(seed, len(coords))):
+        spec = _CellSpec(
+            bench=_BenchSpec(kind="micro", opcode=opcode.value,
+                             input_range=range_key, seed=cell_seed,
+                             precision=precision),
+            module=module)
+        cells.append(_plan_cell(spec, n_faults, cell_seed, batch_size, base,
+                                f"{opcode.value}/{range_key}/{module}"))
+        base += len(cells[-1].units)
+    header = {
+        "campaign": "rtl-grid",
+        "opcodes": [o.value for o in opcodes],
+        "input_ranges": list(input_ranges),
+        "modules": None if modules is None else list(modules),
+        "n_faults": int(n_faults),
+        "seed": int(seed),
+        "batch_size": None if batch_size is None else int(batch_size),
+    }
+    # fp32 headers stay byte-identical so pre-precision journals resume
+    if precision != "fp32":
+        header["precision"] = precision
+    return _rtl_spec(cells, header, timeout, vectorize, config)
+
+
+def tmxm_spec(tile_kinds: Iterable[str] = TILE_KINDS,
+              modules: Iterable[str] = TMXM_MODULES,
+              n_faults: int = 200,
+              seed: int = 0, *,
+              use_shared_memory: bool = False,
+              batch_size: Optional[int] = None,
+              timeout: Optional[float] = None,
+              config: Optional[SMConfig] = None,
+              vectorize="auto") -> CampaignSpec:
+    """The spec of the t-MxM tile grid: see :func:`run_tmxm_grid`."""
+    tile_kinds = list(tile_kinds)
+    modules = list(modules)
+    for kind in tile_kinds:
+        if kind not in TILE_KINDS:
+            raise CampaignError(f"unknown tile kind {kind!r}")
+    coords = [(kind, module) for kind in tile_kinds for module in modules]
+    cells: List[Cell] = []
+    base = 0
+    for (kind, module), cell_seed in zip(coords,
+                                         spawn_seeds(seed, len(coords))):
+        spec = _CellSpec(
+            bench=_BenchSpec(kind="tmxm", tile=kind,
+                             use_shared=use_shared_memory, seed=cell_seed),
+            module=module)
+        cells.append(_plan_cell(spec, n_faults, cell_seed, batch_size, base,
+                                f"tmxm/{kind}/{module}"))
+        base += len(cells[-1].units)
+    header = {
+        "campaign": "rtl-tmxm",
+        "tiles": tile_kinds,
+        "modules": modules,
+        "use_shared_memory": bool(use_shared_memory),
+        "n_faults": int(n_faults),
+        "seed": int(seed),
+        "batch_size": None if batch_size is None else int(batch_size),
+    }
+    return _rtl_spec(cells, header, timeout, vectorize, config)
+
+
+def default_signature_apps(module: str) -> List[str]:
+    """The default application suite characterising *module*.
+
+    Scheduler and pipeline defects are exercised by the three t-MxM tile
+    workloads (where the paper's control-logic effects concentrate);
+    functional-unit defects by the mid-range micro-benchmark of every
+    opcode the module executes.
+    """
+    if module in TMXM_MODULES:
+        return [f"tmxm/{kind}" for kind in TILE_KINDS]
+    if module not in MODULE_INSTRUCTIONS:
+        raise CampaignError(f"unknown module {module!r}")
+    return [f"{op.value}/M" for op in MODULE_INSTRUCTIONS[module]]
+
+
+def _signature_bench_spec(app: str, bench_seed: int) -> _BenchSpec:
+    """Parse one app-suite entry (``tmxm/<Tile>`` or ``<OPCODE>/<RANGE>``)."""
+    head, _, tail = app.partition("/")
+    if head == "tmxm":
+        if tail not in TILE_KINDS:
+            raise CampaignError(
+                f"unknown t-MxM tile {tail!r} in app {app!r}; "
+                f"choose from {list(TILE_KINDS)}")
+        return _BenchSpec(kind="tmxm", tile=tail, seed=bench_seed)
+    try:
+        opcode = Opcode(head)
+    except ValueError:
         raise CampaignError(
-            "a shared injector cannot be used with parallel workers")
+            f"unknown opcode {head!r} in app {app!r}") from None
+    range_key = tail or "M"
+    if range_key not in INPUT_RANGES:
+        raise CampaignError(
+            f"unknown input range {range_key!r} in app {app!r}")
+    return _BenchSpec(kind="micro", opcode=opcode.value,
+                      input_range=range_key, seed=bench_seed)
 
 
-# -- single-cell campaigns ---------------------------------------------------
+def _signature_suite(module: str, apps: Optional[Sequence[str]],
+                     seed: int) -> List[Tuple[str, _BenchSpec]]:
+    """The app suite (default: the module's) with each app's recipe."""
+    if module not in MODULE_INSTRUCTIONS:
+        raise CampaignError(f"unknown module {module!r}")
+    app_list = list(apps) if apps else default_signature_apps(module)
+    if not app_list:
+        raise CampaignError("the application suite must not be empty")
+    return [(app, _signature_bench_spec(app, bench_seed))
+            for app, bench_seed in zip(app_list,
+                                       spawn_seeds(seed, len(app_list)))]
+
+
+def check_signature_suite(module: str,
+                          apps: Optional[Sequence[str]] = None) -> None:
+    """Reject a suite holding a workload that leaves *module* idle.
+
+    Builds every workload once, so it runs where a failure should
+    surface early: before a campaign starts, or when a job is submitted.
+    """
+    for _, bench in _signature_suite(module, apps, 0):
+        _validate_bench_module(bench.build(), module)
+
+
+def signature_spec(module: str, n_faults: int, seed: int = 0,
+                   apps: Optional[Sequence[str]] = None,
+                   fault_model: str = "stuck-at",
+                   kind: Optional[str] = None, *,
+                   timeout: Optional[float] = None,
+                   config: Optional[SMConfig] = None) -> CampaignSpec:
+    """The spec of a signature campaign: see
+    :func:`run_signature_campaign`.
+
+    Planning builds no workload, which keeps it cheap enough for the
+    service to re-plan a stuck-at job on every claim;
+    :func:`check_signature_suite` is the up-front workload check.
+    """
+    _check_fault_model(fault_model)
+    if fault_model != "stuck-at":
+        raise CampaignError(
+            "signature campaigns characterise permanent faults; "
+            f"model {fault_model!r} samples per-injection outcomes — "
+            "use run_campaign for it")
+    if n_faults < 0:
+        raise CampaignError("n_faults must be non-negative")
+    suite = _signature_suite(module, apps, seed)
+    app_list = [app for app, _ in suite]
+    units = [
+        WorkUnit(index=fault_index * len(suite) + app_index, size=1,
+                 seed=seed,
+                 spec=_SignatureSpec(
+                     bench=bench, app=app, apps=tuple(app_list),
+                     fault_index=fault_index, module=module,
+                     fault_model=fault_model, fault_kind=kind,
+                     n_faults=n_faults, list_seed=seed),
+                 label=f"{module}/{fault_model} "
+                       f"fault {fault_index + 1}/{n_faults} x {app}")
+        for fault_index in range(n_faults)
+        for app_index, (app, bench) in enumerate(suite)
+    ]
+    header = {
+        "campaign": "rtl-signature",
+        "module": module,
+        "fault_model": fault_model,
+        "fault_kind": kind,
+        "n_faults": int(n_faults),
+        "apps": app_list,
+        "seed": int(seed),
+    }
+    empty = partial(SignatureReport, module=module, fault_model=fault_model,
+                    n_faults=n_faults, apps=app_list, seed=seed)
+    return CampaignSpec(
+        cells=[Cell(f"{module}/{fault_model}", units, empty)],
+        header=header, schema="signature-report", stage="rtl-signature",
+        run_unit=partial(_run_signature_unit, timeout=timeout),
+        state_factory=partial(_rtl_state, config))
+
+
+def _shared_state(injector: Optional[RTLInjector],
+                  config: Optional[SMConfig]) -> Optional[_RTLWorkerState]:
+    """A serial run's worker state around the caller's injector, if any."""
+    if injector is None:
+        return None
+    return _RTLWorkerState(injector=injector, config=config)
+
+
+# -- campaign runners --------------------------------------------------------
 def run_campaign(
     bench: Microbenchmark,
     module: str,
@@ -553,130 +767,14 @@ def run_campaign(
     per-batch telemetry (created automatically for checkpointed runs and
     written next to the journal); ``n_faults=0`` yields an empty report.
     """
-    if n_faults < 0:
-        raise CampaignError("n_faults must be non-negative")
-    _validate_bench_module(bench, module)
-    _check_fault_model(fault_model)
-    _check_jobs(n_jobs, injector)
-    if n_faults == 0:
-        return CampaignReport(instruction=bench.opcode.value,
-                              input_range=bench.input_range, module=module,
-                              precision=bench.precision)
-    spec = _CellSpec(bench=_BenchSpec(kind="bench", bench=bench),
-                     module=module, fault_kind=kind,
-                     fault_model=fault_model, burst_width=burst_width,
-                     burst_window=burst_window)
-    units = _plan_cell_units(spec, n_faults, seed, batch_size,
-                             base_index=0, label=f"{bench.name}/{module}")
-    header = cell_checkpoint_header(bench, module, kind, n_faults, seed,
-                                    batch_size, fault_model=fault_model)
-    journal = _open_checkpoint(checkpoint, resume, header)
-    metrics = resolve_metrics(metrics, checkpoint, "rtl-cell")
-    state = None
-    if n_jobs == 1:
-        state = _RTLWorkerState(injector=injector, config=config)
-    results = run_units(
-        units,
-        partial(_run_rtl_unit, timeout=timeout, vectorize=vectorize),
-        n_jobs=n_jobs,
-        state_factory=partial(_rtl_state, config),
-        state=state,
-        checkpoint=journal,
-        progress=progress,
-        metrics=metrics,
-        cancel=cancel,
-    )
-    emit_metrics(metrics, checkpoint)
-    return CampaignReport.merge([results[i] for i in sorted(results)])
-
-
-def run_campaign_units(
-    bench: Microbenchmark,
-    module: str,
-    n_faults: int,
-    lo: int,
-    hi: int,
-    seed: int = 0,
-    kind: Optional[str] = None,
-    *,
-    batch_size: Optional[int] = None,
-    timeout: Optional[float] = None,
-    cancel: Optional[Callable[[], bool]] = None,
-    config: Optional[SMConfig] = None,
-    vectorize="auto",
-    fault_model: str = "transient",
-    burst_width: int = 4,
-    burst_window: int = 4,
-) -> Dict[int, CampaignReport]:
-    """Run only units ``[lo, hi)`` of one cell's deterministic plan.
-
-    The distributed-worker entry point: the unit plan depends only on
-    ``(n_faults, seed, batch_size)`` (and the fault-model parameters),
-    so any worker handed a ``(lo, hi)`` shard regenerates exactly the
-    fault batches the serial :func:`run_campaign` would execute at those
-    indices — merging all shards in unit-index order is bit-identical to
-    the serial report.  Returns ``{unit index: batch report}``.
-    """
-    if n_faults < 0:
-        raise CampaignError("n_faults must be non-negative")
-    _validate_bench_module(bench, module)
-    _check_fault_model(fault_model)
-    spec = _CellSpec(bench=_BenchSpec(kind="bench", bench=bench),
-                     module=module, fault_kind=kind,
-                     fault_model=fault_model, burst_width=burst_width,
-                     burst_window=burst_window)
-    units = _plan_cell_units(spec, n_faults, seed, batch_size,
-                             base_index=0, label=f"{bench.name}/{module}")
-    if not 0 <= lo < hi <= len(units):
-        raise CampaignError(
-            f"unit range [{lo}, {hi}) is outside the campaign's "
-            f"{len(units)}-unit plan")
-    done = run_units(
-        units[lo:hi],
-        partial(_run_rtl_unit, timeout=timeout, vectorize=vectorize),
-        n_jobs=1,
-        state=_RTLWorkerState(config=config),
-        cancel=cancel,
-    )
-    return dict(done)
-
-
-# -- permanent-fault signature campaigns -------------------------------------
-def default_signature_apps(module: str) -> List[str]:
-    """The default application suite characterising *module*.
-
-    Scheduler and pipeline defects are exercised by the three t-MxM tile
-    workloads (where the paper's control-logic effects concentrate);
-    functional-unit defects by the mid-range micro-benchmark of every
-    opcode the module executes.
-    """
-    if module in TMXM_MODULES:
-        return [f"tmxm/{kind}" for kind in TILE_KINDS]
-    if module not in MODULE_INSTRUCTIONS:
-        raise CampaignError(f"unknown module {module!r}")
-    return [f"{op.value}/M" for op in MODULE_INSTRUCTIONS[module]]
-
-
-def _signature_bench_spec(app: str, bench_seed: int) -> _BenchSpec:
-    """Parse one app-suite entry (``tmxm/<Tile>`` or ``<OPCODE>/<RANGE>``)."""
-    head, _, tail = app.partition("/")
-    if head == "tmxm":
-        if tail not in TILE_KINDS:
-            raise CampaignError(
-                f"unknown t-MxM tile {tail!r} in app {app!r}; "
-                f"choose from {list(TILE_KINDS)}")
-        return _BenchSpec(kind="tmxm", tile=tail, seed=bench_seed)
-    try:
-        opcode = Opcode(head)
-    except ValueError:
-        raise CampaignError(
-            f"unknown opcode {head!r} in app {app!r}") from None
-    range_key = tail or "M"
-    if range_key not in INPUT_RANGES:
-        raise CampaignError(
-            f"unknown input range {range_key!r} in app {app!r}")
-    return _BenchSpec(kind="micro", opcode=opcode.value,
-                      input_range=range_key, seed=bench_seed)
+    spec = cell_spec(bench, module, n_faults, seed, kind,
+                     batch_size=batch_size, timeout=timeout, config=config,
+                     vectorize=vectorize, fault_model=fault_model,
+                     burst_width=burst_width, burst_window=burst_window)
+    results = spec.run(n_jobs=n_jobs, state=_shared_state(injector, config),
+                       checkpoint=checkpoint, resume=resume,
+                       progress=progress, metrics=metrics, cancel=cancel)
+    return spec.merge(results)[0]
 
 
 def run_signature_campaign(
@@ -710,131 +808,13 @@ def run_signature_campaign(
     bit-identical across any ``n_jobs`` and any checkpoint/resume
     boundary, exactly like the transient campaigns.
     """
-    _check_fault_model(fault_model)
-    if fault_model != "stuck-at":
-        raise CampaignError(
-            "signature campaigns characterise permanent faults; "
-            f"model {fault_model!r} samples per-injection outcomes — "
-            "use run_campaign for it")
-    if n_faults < 0:
-        raise CampaignError("n_faults must be non-negative")
-    if module not in MODULE_INSTRUCTIONS:
-        raise CampaignError(f"unknown module {module!r}")
-    _check_jobs(n_jobs, injector)
-    app_list = list(apps) if apps else default_signature_apps(module)
-    if not app_list:
-        raise CampaignError("the application suite must not be empty")
-    bench_seeds = spawn_seeds(seed, len(app_list))
-    bench_specs = []
-    for app, bench_seed in zip(app_list, bench_seeds):
-        spec = _signature_bench_spec(app, bench_seed)
-        _validate_bench_module(spec.build(), module)
-        bench_specs.append(spec)
-    if n_faults == 0:
-        return SignatureReport(module=module, fault_model=fault_model,
-                               n_faults=0, apps=app_list, seed=seed)
-    units: List[WorkUnit] = []
-    apps_tuple = tuple(app_list)
-    for fault_index in range(n_faults):
-        for app_index, (app, bench_spec) in enumerate(
-                zip(app_list, bench_specs)):
-            spec = _SignatureSpec(
-                bench=bench_spec, app=app, apps=apps_tuple,
-                fault_index=fault_index, module=module,
-                fault_model=fault_model, fault_kind=kind,
-                n_faults=n_faults, list_seed=seed)
-            units.append(WorkUnit(
-                index=fault_index * len(app_list) + app_index,
-                size=1, seed=seed, spec=spec,
-                label=f"{module}/{fault_model} "
-                      f"fault {fault_index + 1}/{n_faults} x {app}"))
-    header = signature_checkpoint_header(module, fault_model, kind,
-                                         n_faults, app_list, seed)
-    journal = None
-    if checkpoint is not None:
-        journal = CampaignCheckpoint(checkpoint, header,
-                                     kind="signature-report",
-                                     resume=resume)
-    elif resume:
-        raise CampaignError("resume=True requires a checkpoint path")
-    metrics = resolve_metrics(metrics, checkpoint, "rtl-signature")
-    state = None
-    if n_jobs == 1:
-        state = _RTLWorkerState(injector=injector, config=config)
-    results = run_units(
-        units,
-        partial(_run_signature_unit, timeout=timeout),
-        n_jobs=n_jobs,
-        state_factory=partial(_rtl_state, config),
-        state=state,
-        checkpoint=journal,
-        progress=progress,
-        metrics=metrics,
-        cancel=cancel,
-    )
-    emit_metrics(metrics, checkpoint)
-    return SignatureReport.merge([results[i] for i in sorted(results)])
-
-
-# -- campaign grids ----------------------------------------------------------
-def _run_cell_grid(
-    cells: Sequence[Tuple[_CellSpec, str]],
-    cell_seeds: Sequence[int],
-    n_faults: int,
-    header: dict,
-    *,
-    n_jobs: int,
-    batch_size: Optional[int],
-    timeout: Optional[float],
-    checkpoint: Optional[Union[str, Path]],
-    resume: bool,
-    progress: Optional[ProgressReporter],
-    metrics: Optional[CampaignMetrics],
-    consume: Optional[Callable[[int, CampaignReport], None]],
-    collect: bool,
-    injector: Optional[RTLInjector],
-    config: Optional[SMConfig],
-    cancel: Optional[Callable[[], bool]] = None,
-    vectorize="auto",
-) -> List[CampaignReport]:
-    """Shared grid executor: plan units per cell, run, merge per cell."""
-    units: List[WorkUnit] = []
-    unit_cell: Dict[int, int] = {}
-    for cell_index, ((spec, label), cell_seed) in enumerate(
-            zip(cells, cell_seeds)):
-        cell_units = _plan_cell_units(spec, n_faults, cell_seed,
-                                      batch_size, base_index=len(units),
-                                      label=label)
-        for unit in cell_units:
-            unit_cell[unit.index] = cell_index
-        units.extend(cell_units)
-    if progress is not None and progress.total is None:
-        progress.total = len(units)
-    journal = _open_checkpoint(checkpoint, resume, header)
-    metrics = resolve_metrics(metrics, checkpoint, header["campaign"])
-    state = None
-    if n_jobs == 1:
-        state = _RTLWorkerState(injector=injector, config=config)
-    results = run_units(
-        units,
-        partial(_run_rtl_unit, timeout=timeout, vectorize=vectorize),
-        n_jobs=n_jobs,
-        state_factory=partial(_rtl_state, config),
-        state=state,
-        checkpoint=journal,
-        consume=consume,
-        progress=progress,
-        metrics=metrics,
-        collect=collect,
-        cancel=cancel,
-    )
-    emit_metrics(metrics, checkpoint)
-    if not collect:
-        return []
-    per_cell: Dict[int, List[CampaignReport]] = {}
-    for index in sorted(results):
-        per_cell.setdefault(unit_cell[index], []).append(results[index])
-    return [CampaignReport.merge(per_cell[c]) for c in sorted(per_cell)]
+    spec = signature_spec(module, n_faults, seed, apps, fault_model, kind,
+                          timeout=timeout, config=config)
+    check_signature_suite(module, apps)
+    results = spec.run(n_jobs=n_jobs, state=_shared_state(injector, config),
+                       checkpoint=checkpoint, resume=resume,
+                       progress=progress, metrics=metrics, cancel=cancel)
+    return spec.merge(results)[0]
 
 
 def run_grid(
@@ -879,48 +859,14 @@ def run_grid(
     ranges, programs execute on the fp16/bf16 datapath, and its module
     replaces ``fp32`` in the grid — non-float cells are unaffected.
     """
-    opcodes = list(opcodes)
-    input_ranges = list(input_ranges)
-    for key in input_ranges:
-        if key not in INPUT_RANGES:
-            raise CampaignError(f"unknown input range {key!r}")
-    _check_jobs(n_jobs, injector)
-    cells: List[Tuple[_CellSpec, str]] = []
-    cell_coords: List[Tuple[Opcode, str, str]] = []
-    for opcode in opcodes:
-        for range_key in input_ranges:
-            for module in modules_for_opcode(opcode, precision):
-                if modules is not None and module not in modules:
-                    continue
-                cell_coords.append((opcode, range_key, module))
-    cell_seeds = spawn_seeds(seed, len(cell_coords))
-    for (opcode, range_key, module), cell_seed in zip(cell_coords,
-                                                      cell_seeds):
-        spec = _CellSpec(
-            bench=_BenchSpec(kind="micro", opcode=opcode.value,
-                             input_range=range_key, seed=cell_seed,
-                             precision=precision),
-            module=module)
-        cells.append((spec, f"{opcode.value}/{range_key}/{module}"))
-    header = {
-        "campaign": "rtl-grid",
-        "opcodes": [o.value for o in opcodes],
-        "input_ranges": list(input_ranges),
-        "modules": None if modules is None else list(modules),
-        "n_faults": int(n_faults),
-        "seed": int(seed),
-        "batch_size": None if batch_size is None else int(batch_size),
-    }
-    # fp32 headers stay byte-identical so pre-precision journals resume
-    if precision != "fp32":
-        header["precision"] = precision
-    return _run_cell_grid(
-        cells, cell_seeds, n_faults, header,
-        n_jobs=n_jobs, batch_size=batch_size, timeout=timeout,
-        checkpoint=checkpoint, resume=resume, progress=progress,
-        metrics=metrics, consume=consume, collect=collect,
-        injector=injector, config=config, cancel=cancel,
-        vectorize=vectorize)
+    spec = grid_spec(opcodes, input_ranges, modules, n_faults, seed,
+                     batch_size=batch_size, timeout=timeout, config=config,
+                     vectorize=vectorize, precision=precision)
+    results = spec.run(n_jobs=n_jobs, state=_shared_state(injector, config),
+                       checkpoint=checkpoint, resume=resume,
+                       progress=progress, metrics=metrics, consume=consume,
+                       collect=collect, cancel=cancel)
+    return spec.merge(results) if collect else []
 
 
 def run_tmxm_grid(
@@ -952,36 +898,12 @@ def run_tmxm_grid(
     expensive 6000-fault tile cells parallelise and resume exactly like
     the instruction grid.
     """
-    tile_kinds = list(tile_kinds)
-    modules = list(modules)
-    for kind in tile_kinds:
-        if kind not in TILE_KINDS:
-            raise CampaignError(f"unknown tile kind {kind!r}")
-    _check_jobs(n_jobs, injector)
-    cell_coords = [(kind, module) for kind in tile_kinds
-                   for module in modules]
-    cell_seeds = spawn_seeds(seed, len(cell_coords))
-    cells: List[Tuple[_CellSpec, str]] = []
-    for (kind, module), cell_seed in zip(cell_coords, cell_seeds):
-        spec = _CellSpec(
-            bench=_BenchSpec(kind="tmxm", tile=kind,
-                             use_shared=use_shared_memory,
-                             seed=cell_seed),
-            module=module)
-        cells.append((spec, f"tmxm/{kind}/{module}"))
-    header = {
-        "campaign": "rtl-tmxm",
-        "tiles": tile_kinds,
-        "modules": modules,
-        "use_shared_memory": bool(use_shared_memory),
-        "n_faults": int(n_faults),
-        "seed": int(seed),
-        "batch_size": None if batch_size is None else int(batch_size),
-    }
-    return _run_cell_grid(
-        cells, cell_seeds, n_faults, header,
-        n_jobs=n_jobs, batch_size=batch_size, timeout=timeout,
-        checkpoint=checkpoint, resume=resume, progress=progress,
-        metrics=metrics, consume=consume, collect=collect,
-        injector=injector, config=config, cancel=cancel,
-        vectorize=vectorize)
+    spec = tmxm_spec(tile_kinds, modules, n_faults, seed,
+                     use_shared_memory=use_shared_memory,
+                     batch_size=batch_size, timeout=timeout, config=config,
+                     vectorize=vectorize)
+    results = spec.run(n_jobs=n_jobs, state=_shared_state(injector, config),
+                       checkpoint=checkpoint, resume=resume,
+                       progress=progress, metrics=metrics, consume=consume,
+                       collect=collect, cancel=cancel)
+    return spec.merge(results) if collect else []

@@ -4,8 +4,9 @@ Endpoints (all JSON unless noted):
 
 * ``POST /jobs`` — submit ``{"kind": "pvf"|"rtl"|"pipeline",
   "params": {...}, "priority": 0}``; parameters are validated up front
-  (400 on error), and a saturated queue answers 429 when the daemon
-  was started with a queue-depth limit.
+  (400 on error), a saturated queue answers 429 when the daemon was
+  started with a queue-depth limit, and a coordinator without a
+  scheduler answers 422 to jobs no worker can claim.
 * ``GET /jobs`` (``?state=queued|running|done|failed|cancelled``) —
   list jobs.
 * ``GET /jobs/<id>`` — one job, plus ``telemetry``: the live
@@ -71,9 +72,10 @@ from .scheduler import (
     JOB_KINDS,
     Scheduler,
     finalize_sharded_job,
+    job_spec,
     normalize_params,
-    open_shard_journal,
     plan_job_units,
+    spec_journal,
 )
 from .store import JOB_STATES, JobStore
 
@@ -136,6 +138,14 @@ class CampaignService:
             params = normalize_params(kind, payload.get("params"))
         except ServiceError as exc:
             raise ApiError(400, str(exc))
+        if not self.scheduler.execute_jobs and (
+                kind == "pipeline" or not job_spec(kind, params).units):
+            # a coordinator only merges what workers deliver
+            raise ApiError(
+                422, f"workers cannot claim this {kind} job — pipelines "
+                     f"and empty campaigns run only on a daemon's own "
+                     f"scheduler, and this one was started with "
+                     f"--no-scheduler")
         if self.max_queue_depth is not None:
             depth = self.store.count_states()["queued"]
             if depth >= self.max_queue_depth:
@@ -287,11 +297,14 @@ class CampaignService:
         from ..artifacts import load_artifact
         from ..errors import ArtifactError
 
-        schema = "pvf-report" if job.kind == "pvf" else "rtl-report"
+        try:
+            spec = job_spec(job.kind, job.params)
+        except ServiceError as exc:
+            raise ApiError(409, str(exc))
         decoded = {}
         try:
             for key, body in reports.items():
-                decoded[int(key)] = load_artifact(schema, body)
+                decoded[int(key)] = load_artifact(spec.schema, body)
         except (ArtifactError, ValueError) as exc:
             raise ApiError(400, f"undecodable unit report: {exc}")
         jobdir = self.scheduler.jobdir(job.id)
@@ -299,7 +312,7 @@ class CampaignService:
             # journal first, then mark the shard done: a crash in
             # between costs a duplicate delivery (deduped by unit
             # index on load), never a done-shard with missing units
-            journal = open_shard_journal(job, jobdir)
+            journal = spec_journal(spec, jobdir)
             try:
                 for index in sorted(decoded):
                     if index not in journal.completed:
@@ -311,7 +324,7 @@ class CampaignService:
                                                  units=len(decoded))
             except ServiceError as exc:
                 raise ApiError(409, str(exc))
-            self._record_shard_metrics(job, jobdir)
+            self._record_shard_metrics(job, jobdir, journal.completed)
             if last:
                 try:
                     finalize_sharded_job(self.store, job, jobdir)
@@ -338,7 +351,8 @@ class CampaignService:
             raise ApiError(409, str(exc))
         return failed.to_dict()
 
-    def _record_shard_metrics(self, job, jobdir: Path) -> None:
+    def _record_shard_metrics(self, job, jobdir: Path,
+                              completed: Dict[int, object]) -> None:
         """Keep the job's live ``metrics.json`` heartbeat current.
 
         Rebuilt from the journal on every delivery instead of patched
@@ -351,10 +365,8 @@ class CampaignService:
         metrics = CampaignMetrics(
             f"{job.kind}/job-{job.id}",
             total_units=None if layout is None else layout[0])
-        journal = open_shard_journal(job, jobdir)
-        journal.close()
-        for index in sorted(journal.completed):
-            report = journal.completed[index]
+        for index in sorted(completed):
+            report = completed[index]
             metrics.record_unit(index, label=f"unit {index}",
                                 size=getattr(report, "n_injections", 0),
                                 report=report, worker=0)

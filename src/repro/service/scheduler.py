@@ -18,10 +18,10 @@ Three properties connect the service to the campaign engine:
   ``cancelled`` (or ``failed`` for a blown budget) with all completed
   units journaled.
 * **Bit-identical results** — execution goes through the exact same
-  runners the synchronous CLI uses, with the same seed-indexed batch
-  plan, so a job's merged report equals the direct
+  campaign specs the synchronous CLI runs, with the same seed-indexed
+  batch plan, so a job's merged report equals the direct
   ``python -m repro`` run's for the same parameters, no matter how
-  often the daemon died in between.
+  often the daemon died in between or how many workers shared it.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import sys
 import threading
 import time
 import traceback
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -43,7 +44,7 @@ from ..errors import BudgetExceeded, CampaignCancelled, ServiceError
 from .store import Job, JobStore
 
 __all__ = ["JOB_KINDS", "Scheduler", "execute_job",
-           "finalize_sharded_job", "normalize_params",
+           "finalize_sharded_job", "job_spec", "normalize_params",
            "open_shard_journal", "plan_job_units", "run_job_units"]
 
 #: The campaign shapes the service runs.
@@ -166,9 +167,7 @@ def _require_rtl_fault_model(params: dict) -> Dict:
     meaningful for stuck-at jobs, and the burst geometry only for burst
     jobs — anything else is a 400 at submit, not a confusing no-op.
     """
-    from ..errors import CampaignError
     from ..gpu.fault_plane import FAULT_MODELS
-    from ..rtl.campaign import _signature_bench_spec
 
     fault_model = params.get("fault_model", "transient")
     if fault_model not in FAULT_MODELS:
@@ -183,11 +182,6 @@ def _require_rtl_fault_model(params: dict) -> Dict:
                 "campaigns")
         if not isinstance(apps, list) or not apps:
             raise ServiceError("parameter 'apps' must be a non-empty list")
-        for app in apps:
-            try:
-                _signature_bench_spec(str(app), 0)
-            except CampaignError as exc:
-                raise ServiceError(str(exc)) from None
         apps = [str(app) for app in apps]
     burst_width = _require_int(params, "burst_width", None, minimum=1)
     burst_window = _require_int(params, "burst_window", None, minimum=0)
@@ -202,6 +196,23 @@ def _require_rtl_fault_model(params: dict) -> Dict:
         "burst_width": 4 if burst_width is None else burst_width,
         "burst_window": 4 if burst_window is None else burst_window,
     }
+
+
+def _check_rtl_workload(params: dict) -> None:
+    """Reject an rtl job whose workload leaves its module idle.
+
+    Checked once at submit, so every later spec build — on a claim, a
+    delivery, a finalize — plans a job known to be runnable.
+    """
+    from ..errors import CampaignError
+    from ..rtl.campaign import check_signature_suite
+
+    try:
+        job_spec("rtl", params)
+        if params["fault_model"] == "stuck-at":
+            check_signature_suite(params["module"], params["apps"])
+    except CampaignError as exc:
+        raise ServiceError(str(exc)) from None
 
 
 def normalize_params(kind: str, params: Optional[dict]) -> dict:
@@ -278,6 +289,7 @@ def normalize_params(kind: str, params: Optional[dict]) -> dict:
             from ..campaign.engine import DEFAULT_BATCH_SIZE
 
             out["batch_size"] = DEFAULT_BATCH_SIZE
+        _check_rtl_workload(out)
     else:  # pipeline
         apps = params.get("apps", ["MxM"])
         if not isinstance(apps, list) or not apps:
@@ -340,13 +352,96 @@ class _LiveMetrics(CampaignMetrics):
         return super().save(self._path if path is None else path)
 
 
-# -- job execution ------------------------------------------------------------
-def _pvf_result(params: dict, report) -> dict:
-    """The ``report.json`` payload of one finished PVF job.
+# -- job specs ----------------------------------------------------------------
+#: Unit-report schema of a job's spec -> its journal in the job directory.
+_JOURNALS = {"pvf-report": "pvf.jsonl", "rtl-report": "rtl.jsonl",
+             "signature-report": "signature.jsonl"}
 
-    Shared between the in-process runner and the sharded-job finalizer
-    so both execution paths land byte-identical results.
+
+def _pvf_state(params: dict):
+    """Worker state of a pvf job: its application, model and injector."""
+    from ..apps import make_application
+    from ..datafiles import load_database
+    from ..swfi.campaign import _SwfiState
+    from ..swfi.models import RelativeErrorSyndrome, SingleBitFlip
+
+    app = make_application(params["app"], seed=params["seed"],
+                           precision=params.get("precision", "fp32"))
+    model = (SingleBitFlip() if params["model"] == "bitflip"
+             else RelativeErrorSyndrome(load_database()))
+    return _SwfiState(app, model)
+
+
+def job_spec(kind: str, params: dict):
+    """The :class:`~repro.campaign.spec.CampaignSpec` of a pvf/rtl job.
+
+    Built from the normalized params alone, on every claim, delivery and
+    finalize, so it stays cheap: the application, syndrome database and
+    golden runs come from the spec's worker-state factory where units
+    execute; an rtl cell builds only its micro-benchmark (for the
+    journal header).  Pipeline jobs have no single spec.
     """
+    fault_model = params.get("fault_model", "transient")
+    if kind == "pvf":
+        from ..swfi.campaign import pvf_spec
+
+        return pvf_spec(params["app"], _MODEL_NAMES[params["model"]],
+                        params["injections"], partial(_pvf_state, params),
+                        seed=params["seed"], batch_size=params["batch_size"],
+                        timeout=params["timeout"])
+    if kind == "rtl" and fault_model == "stuck-at":
+        from ..rtl.campaign import signature_spec
+
+        return signature_spec(params["module"], params["faults"],
+                              params["seed"], apps=params.get("apps"),
+                              timeout=params["timeout"])
+    if kind == "rtl":
+        from ..gpu.isa import Opcode
+        from ..rtl.campaign import cell_spec
+        from ..rtl.microbench import make_microbenchmark
+
+        bench = make_microbenchmark(
+            Opcode(params["opcode"]), params["range"], seed=params["seed"],
+            precision=params.get("precision", "fp32"))
+        return cell_spec(bench, params["module"], params["faults"],
+                         params["seed"],
+                         batch_size=params["batch_size"],
+                         timeout=params["timeout"], fault_model=fault_model,
+                         burst_width=params.get("burst_width", 4),
+                         burst_window=params.get("burst_window", 4))
+    raise ServiceError(f"{kind} jobs cannot be sharded across workers")
+
+
+def spec_journal(spec, jobdir: Union[str, Path]) -> CampaignCheckpoint:
+    """A job's unit journal, resumed: one file and header on every path."""
+    jobdir = Path(jobdir)
+    jobdir.mkdir(parents=True, exist_ok=True)
+    return spec.journal(jobdir / _JOURNALS[spec.schema], resume=True)
+
+
+def _journaled(spec, jobdir: Union[str, Path, None]) -> Dict[int, object]:
+    """The unit reports journaled under *jobdir* so far."""
+    if jobdir is None or not (Path(jobdir) / _JOURNALS[spec.schema]).exists():
+        return {}
+    journal = spec_journal(spec, jobdir)
+    journal.close()
+    return journal.completed
+
+
+def _controller(spec, params: dict):
+    """The job's adaptive controller, or None for a fixed-size job."""
+    from ..adaptive import AdaptiveConfig
+
+    if params.get("target_ci") is None:
+        return None
+    return spec.controller(AdaptiveConfig(**{
+        key: params[key] for key in ("target_ci", "strategy", "min_per_cell")
+        if params.get(key) is not None}))
+
+
+# -- job results --------------------------------------------------------------
+def _pvf_result(params: dict, report) -> dict:
+    """The ``report.json`` payload of one finished PVF job."""
     low, high = report.confidence_interval()
     return {
         "kind": "pvf",
@@ -394,129 +489,35 @@ def _signature_result(params: dict, report) -> dict:
     }
 
 
-def _pvf_workload(params: dict):
-    from ..apps import make_application
-    from ..datafiles import load_database
-    from ..swfi.models import RelativeErrorSyndrome, SingleBitFlip
+def _job_result(params: dict, spec, results: Dict[int, object],
+                controller, jobdir: Path) -> dict:
+    """Merge a job's unit results into its ``report.json`` payload.
 
-    app = make_application(params["app"], seed=params["seed"],
-                           precision=params.get("precision", "fp32"))
-    model = (SingleBitFlip() if params["model"] == "bitflip"
-             else RelativeErrorSyndrome(load_database()))
-    return app, model
-
-
-def _rtl_bench(params: dict):
-    from ..gpu.isa import Opcode
-    from ..rtl.microbench import make_microbenchmark
-
-    return make_microbenchmark(Opcode(params["opcode"]), params["range"],
-                               seed=params["seed"],
-                               precision=params.get("precision", "fp32"))
-
-
-def _adaptive_config(params: dict):
-    """The :class:`AdaptiveConfig` a job's normalized params describe."""
-    from ..adaptive import AdaptiveConfig
-
-    kwargs: Dict = {"target_ci": params["target_ci"]}
-    if params.get("strategy") is not None:
-        kwargs["strategy"] = params["strategy"]
-    if params.get("min_per_cell") is not None:
-        kwargs["min_per_cell"] = params["min_per_cell"]
-    return AdaptiveConfig(**kwargs)
-
-
-def _run_pvf_job(params: dict, jobdir: Path, cancel, progress,
-                 metrics) -> dict:
-    from ..swfi.campaign import run_pvf_campaign
-
-    app, model = _pvf_workload(params)
-    journal = jobdir / "pvf.jsonl"
-    if params.get("target_ci") is not None:
-        from ..adaptive import run_adaptive_pvf_campaign
-
-        outcome = run_adaptive_pvf_campaign(
-            app, model, params["injections"], _adaptive_config(params),
-            seed=params["seed"], n_jobs=params["jobs"],
-            batch_size=params["batch_size"], timeout=params["timeout"],
-            checkpoint=journal, resume=journal.exists(),
-            progress=progress, metrics=metrics, cancel=cancel)
-        result = _pvf_result(params, outcome.report)
-        result["adaptive"] = {"rounds": outcome.rounds,
-                              "converged": outcome.converged,
-                              "cells": outcome.summary}
-        return result
-    report = run_pvf_campaign(
-        app, model, params["injections"], seed=params["seed"],
-        n_jobs=params["jobs"], batch_size=params["batch_size"],
-        timeout=params["timeout"], checkpoint=journal,
-        resume=journal.exists(), progress=progress, metrics=metrics,
-        cancel=cancel)
-    return _pvf_result(params, report)
-
-
-def _run_rtl_job(params: dict, jobdir: Path, cancel, progress,
-                 metrics) -> dict:
-    from ..rtl.campaign import run_campaign
-
-    if params.get("fault_model", "transient") == "stuck-at":
-        return _run_signature_job(params, jobdir, cancel, progress,
-                                  metrics)
-    bench = _rtl_bench(params)
-    journal = jobdir / "rtl.jsonl"
-    if params.get("target_ci") is not None:
-        from ..adaptive import run_adaptive_campaign
-
-        outcome = run_adaptive_campaign(
-            bench, params["module"], params["faults"],
-            _adaptive_config(params), seed=params["seed"],
-            n_jobs=params["jobs"], batch_size=params["batch_size"],
-            timeout=params["timeout"], checkpoint=journal,
-            resume=journal.exists(), progress=progress,
-            metrics=metrics, cancel=cancel)
-        result = _rtl_result(params, outcome.report)
-        result["adaptive"] = {"rounds": outcome.rounds,
-                              "converged": outcome.converged,
-                              "cells": outcome.summary}
-        return result
-    report = run_campaign(
-        bench, params["module"], params["faults"], seed=params["seed"],
-        n_jobs=params["jobs"], batch_size=params["batch_size"],
-        timeout=params["timeout"], checkpoint=journal,
-        resume=journal.exists(), progress=progress, metrics=metrics,
-        cancel=cancel,
-        fault_model=params.get("fault_model", "transient"),
-        burst_width=params.get("burst_width", 4),
-        burst_window=params.get("burst_window", 4))
-    return _rtl_result(params, report)
-
-
-def _run_signature_job(params: dict, jobdir: Path, cancel, progress,
-                       metrics) -> dict:
-    """Stuck-at RTL jobs run the per-application signature campaign.
-
-    Beyond ``report.json``, the enveloped report lands in
-    ``signature.json`` — the ``signature`` artifact the API serves.
+    Shared by the in-process run and the sharded finalizer, so both
+    paths land byte-identical results.  A signature job also writes
+    ``signature.json``, the enveloped report the API serves.
     """
-    from ..artifacts import dump_artifact
-    from ..rtl.campaign import run_signature_campaign
+    (report,) = spec.merge(results)
+    if spec.schema == "signature-report":
+        from ..artifacts import dump_artifact
 
-    journal = jobdir / "signature.jsonl"
-    report = run_signature_campaign(
-        params["module"], params["faults"], seed=params["seed"],
-        apps=params.get("apps"), n_jobs=params["jobs"],
-        timeout=params["timeout"], checkpoint=journal,
-        resume=journal.exists(), progress=progress, metrics=metrics,
-        cancel=cancel)
-    enveloped = dump_artifact("signature-report", report)
-    (jobdir / "signature.json").write_text(
-        json.dumps(enveloped, indent=2) + "\n")
-    return _signature_result(params, report)
+        enveloped = dump_artifact("signature-report", report)
+        (jobdir / "signature.json").write_text(
+            json.dumps(enveloped, indent=2) + "\n")
+        return _signature_result(params, report)
+    build = _pvf_result if spec.schema == "pvf-report" else _rtl_result
+    result = build(params, report)
+    if controller is not None:
+        summary = controller.summary()
+        result["adaptive"] = {
+            "rounds": controller.rounds,
+            "converged": all(cell["converged"] for cell in summary),
+            "cells": summary,
+        }
+    return result
 
 
-def _run_pipeline_job(params: dict, jobdir: Path, cancel, progress,
-                      metrics) -> dict:
+def _run_pipeline_job(params: dict, jobdir: Path, cancel, progress) -> dict:
     from ..campaign.pipeline import run_pipeline
     from ..gpu.isa import Opcode
 
@@ -537,72 +538,13 @@ def _run_pipeline_job(params: dict, jobdir: Path, cancel, progress,
     return {"kind": "pipeline", **summary}
 
 
-_RUNNERS = {
-    "pvf": _run_pvf_job,
-    "rtl": _run_rtl_job,
-    "pipeline": _run_pipeline_job,
-}
-
-
 # -- unit sharding (multi-worker jobs) ----------------------------------------
-def _job_plan_sizes(job: Job) -> Optional[List[int]]:
-    """The job's fixed seed-indexed unit-size plan (None: unshardable)."""
-    from ..campaign.engine import plan_batches
-
-    params = job.params
-    if job.kind == "pvf":
-        return plan_batches(params["injections"], params["batch_size"])
-    if job.kind == "rtl":
-        if params.get("fault_model", "transient") == "stuck-at":
-            # signature jobs run in-process: their (fault x app) units
-            # journal to signature.jsonl, not the rtl-report shard shape
-            return None
-        if params["faults"] <= 0:
-            return []
-        if params["batch_size"] is None:
-            return [params["faults"]]  # one unit from the raw cell seed
-        return plan_batches(params["faults"], params["batch_size"])
-    return None
-
-
-def _adaptive_horizon(job: Job, sizes: List[int],
-                      jobdir: Union[str, Path, None]
-                      ) -> Tuple[int, int, bool]:
-    """Replay journaled tallies through the pure stop rule.
-
-    Returns ``(horizon, rounds, settled)``: the unit horizon the
-    adaptive stop rule currently wants, how many decision rounds the
-    replay took, and whether the tallies were complete at that horizon
-    (``False`` means units are still in flight, so the horizon is the
-    standing decision, not a new one).  With no journal yet the horizon
-    is the warm-up prefix.  Every caller — shard planner, finalizer,
-    metrics — derives its answer from this one function, which is what
-    keeps the distributed stop decision identical to the in-process
-    controller's.
-    """
-    from ..adaptive import next_horizon
-
-    config = _adaptive_config(job.params)
-    completed: Dict[int, object] = {}
-    if jobdir is not None:
-        name = "pvf.jsonl" if job.kind == "pvf" else "rtl.jsonl"
-        if (Path(jobdir) / name).exists():
-            journal = open_shard_journal(job, jobdir)
-            journal.close()
-            completed = journal.completed
-    horizon = next_horizon(0, 0, 0, sizes, config)
-    rounds = 1 if horizon else 0
-    while True:
-        if any(i not in completed for i in range(horizon)):
-            return horizon, rounds, False
-        trials = sum(completed[i].n_injections for i in range(horizon))
-        successes = sum(completed[i].n_sdc for i in range(horizon))
-        extended = next_horizon(trials, successes, horizon, sizes,
-                                config)
-        if extended == horizon:
-            return horizon, rounds, True
-        horizon = extended
-        rounds += 1
+def _per_claim(params: dict, n_units: int) -> int:
+    per_claim = params.get("units_per_claim")
+    if per_claim is None:
+        # default: quarters, so a small worker fleet shares one job
+        per_claim = max(1, math.ceil(n_units / 4))
+    return int(per_claim)
 
 
 def plan_job_units(job: Job, jobdir: Union[str, Path, None] = None
@@ -612,30 +554,27 @@ def plan_job_units(job: Job, jobdir: Union[str, Path, None] = None
     Returns ``None`` when the job cannot be claimed in shards by remote
     workers — pipeline jobs (multi-stage, in-process only) and empty
     campaigns (zero injections/faults), which the in-process scheduler
-    finishes trivially.  The unit count is exactly the engine's batch
-    plan for the job's parameters, so shard ``[lo, hi)`` always names
-    the same seed-indexed units on every worker.
+    finishes trivially.  The unit count is exactly the job spec's plan,
+    so shard ``[lo, hi)`` always names the same seed-indexed units on
+    every worker.
 
     For adaptive jobs (``target_ci`` set) the unit count is the current
-    **moving horizon**: the prefix of the fixed plan the stop rule wants
-    given the tallies journaled under *jobdir* so far (the warm-up
-    prefix when no results exist yet).  The finalizer extends the shard
-    table whenever new results push the horizon out.
+    **moving horizon**: the units the adaptive controller has planned
+    after replaying the results journaled under *jobdir* so far (the
+    warm-up prefix when none exist yet).  The finalizer extends the
+    shard table whenever new results push the horizon out.
     """
-    params = job.params
-    sizes = _job_plan_sizes(job)
-    if sizes is None or not sizes:
+    if job.kind == "pipeline":
         return None
-    n_units = len(sizes)
-    if params.get("target_ci") is not None:
-        n_units = _adaptive_horizon(job, sizes, jobdir)[0]
-        if n_units <= 0:
-            return None
-    per_claim = params.get("units_per_claim")
-    if per_claim is None:
-        # default: quarters, so a small worker fleet shares one job
-        per_claim = max(1, math.ceil(n_units / 4))
-    return n_units, int(per_claim)
+    spec = job_spec(job.kind, job.params)
+    controller = _controller(spec, job.params)
+    units = spec.units
+    if controller is not None:
+        controller.replay(_journaled(spec, jobdir))
+        units = controller.planned_units
+    if not units:
+        return None
+    return len(units), _per_claim(job.params, len(units))
 
 
 def run_job_units(kind: str, params: dict, lo: int, hi: int,
@@ -643,33 +582,12 @@ def run_job_units(kind: str, params: dict, lo: int, hi: int,
                   ) -> Dict[int, dict]:
     """Execute units ``[lo, hi)`` of a sharded job on this machine.
 
-    The worker-side half of the shard protocol: rebuilds the job's
-    workload from its (normalized) parameters and runs exactly the
-    engine units a single-process run would execute at those indices.
-    Returns ``{unit index: report payload}`` ready to POST back.
+    The worker-side half of the shard protocol: builds the job's spec
+    from its (normalized) parameters and runs exactly the engine units
+    a single-process run would execute at those indices.  Returns
+    ``{unit index: report payload}`` ready to POST back.
     """
-    if kind == "pvf":
-        from ..swfi.campaign import run_pvf_units
-
-        app, model = _pvf_workload(params)
-        done = run_pvf_units(
-            app, model, params["injections"], lo, hi,
-            seed=params["seed"], batch_size=params["batch_size"],
-            timeout=params["timeout"], cancel=cancel)
-    elif kind == "rtl":
-        from ..rtl.campaign import run_campaign_units
-
-        done = run_campaign_units(
-            _rtl_bench(params), params["module"], params["faults"],
-            lo, hi, seed=params["seed"],
-            batch_size=params["batch_size"],
-            timeout=params["timeout"], cancel=cancel,
-            fault_model=params.get("fault_model", "transient"),
-            burst_width=params.get("burst_width", 4),
-            burst_window=params.get("burst_window", 4))
-    else:
-        raise ServiceError(
-            f"{kind} jobs cannot be sharded across workers")
+    done = job_spec(kind, params).run(lo, hi, cancel=cancel)
     return {index: report.to_dict() for index, report in done.items()}
 
 
@@ -677,32 +595,11 @@ def open_shard_journal(job: Job, jobdir: Union[str, Path]
                        ) -> CampaignCheckpoint:
     """Open (resuming if present) a sharded job's unit journal.
 
-    Same path and header as the in-process runner's checkpoint, so a
-    job can move freely between sharded and in-process execution across
+    Same path and header as the in-process run's checkpoint, so a job
+    can move freely between sharded and in-process execution across
     requeues and always resume from the units already delivered.
     """
-    params = job.params
-    jobdir = Path(jobdir)
-    jobdir.mkdir(parents=True, exist_ok=True)
-    if job.kind == "pvf":
-        from ..swfi.campaign import pvf_checkpoint_header
-
-        header = pvf_checkpoint_header(
-            params["app"], _MODEL_NAMES[params["model"]],
-            params["seed"], params["batch_size"], params["injections"])
-        return CampaignCheckpoint(jobdir / "pvf.jsonl", header,
-                                  kind="pvf-report", resume=True)
-    if job.kind == "rtl":
-        from ..rtl.campaign import cell_checkpoint_header
-
-        header = cell_checkpoint_header(
-            _rtl_bench(params), params["module"], None,
-            params["faults"], params["seed"], params["batch_size"],
-            fault_model=params.get("fault_model", "transient"))
-        return CampaignCheckpoint(jobdir / "rtl.jsonl", header,
-                                  kind="rtl-report", resume=True)
-    raise ServiceError(f"{job.kind} jobs cannot be sharded across "
-                       f"workers")
+    return spec_journal(job_spec(job.kind, job.params), jobdir)
 
 
 def finalize_sharded_job(store: JobStore, job: Job,
@@ -721,77 +618,37 @@ def finalize_sharded_job(store: JobStore, job: Job,
     until workers have delivered the new prefix too.  Only a settled
     horizon — stable under its own complete tallies — is merged.
     """
-    from ..campaign.engine import merge_ordered
-
     jobdir = Path(jobdir)
-    layout = plan_job_units(job, jobdir)
-    if layout is None:
+    if job.kind == "pipeline":
         raise ServiceError(f"job {job.id} is not a sharded job")
-    n_units, per_claim = layout
-    if job.params.get("target_ci") is not None:
-        covered = max((s["hi"] for s in store.shards(job.id)),
-                      default=0)
-        if n_units > covered:
-            added = store.extend_shards(job.id, n_units, per_claim)
+    spec = job_spec(job.kind, job.params)
+    completed = _journaled(spec, jobdir)
+    controller = _controller(spec, job.params)
+    units = spec.units
+    if controller is not None:
+        controller.replay(completed)
+        units = controller.planned_units
+        covered = max((s["hi"] for s in store.shards(job.id)), default=0)
+        if len(units) > covered:
+            added = store.extend_shards(job.id, len(units),
+                                        _per_claim(job.params, len(units)))
             raise ServiceError(
-                f"job {job.id} adaptive horizon moved to {n_units} "
+                f"job {job.id} adaptive horizon moved to {len(units)} "
                 f"unit(s); {added} new shard(s) queued")
-    journal = open_shard_journal(job, jobdir)
-    journal.close()
-    missing = [i for i in range(n_units) if i not in journal.completed]
+    if not units:
+        raise ServiceError(f"job {job.id} is not a sharded job")
+    missing = [u.index for u in units if u.index not in completed]
     if missing:
         raise ServiceError(
             f"job {job.id} journal is missing unit(s) "
             f"{missing[:8]}{'...' if len(missing) > 8 else ''}; "
             f"cannot merge")
-    reports = {i: journal.completed[i] for i in range(n_units)}
-    merged = merge_ordered(reports)
-    builder = _pvf_result if job.kind == "pvf" else _rtl_result
-    result = builder(job.params, merged)
-    if job.params.get("target_ci") is not None:
-        result["adaptive"] = _sharded_adaptive_summary(job, jobdir,
-                                                       merged)
+    result = _job_result(job.params, spec,
+                         {u.index: completed[u.index] for u in units},
+                         controller, jobdir)
     (jobdir / "report.json").write_text(json.dumps(result, indent=2)
                                         + "\n")
     return store.finish(job.id, "done", result=result)
-
-
-def _sharded_adaptive_summary(job: Job, jobdir: Path, merged) -> dict:
-    """Mirror the in-process runner's ``adaptive`` result section.
-
-    Recomputed from the merged report and the horizon replay so a job
-    that ran sharded across workers lands the same decision record an
-    in-process adaptive run would have written.
-    """
-    from ..analysis.stats import wilson_interval
-
-    sizes = _job_plan_sizes(job) or []
-    horizon, rounds, _ = _adaptive_horizon(job, sizes, jobdir)
-    config = _adaptive_config(job.params)
-    low, high = wilson_interval(merged.n_sdc, merged.n_injections,
-                                config.confidence)
-    converged = (merged.n_injections >= config.min_per_cell
-                 and high - low <= config.target_ci)
-    if job.kind == "pvf":
-        cell = f"{merged.app_name}/{merged.model_name}"
-    else:
-        cell = f"{_rtl_bench(job.params).name}/{job.params['module']}"
-    return {
-        "rounds": rounds,
-        "converged": converged,
-        "cells": [{
-            "cell": cell,
-            "trials": merged.n_injections,
-            "sdc": merged.n_sdc,
-            "ci_low": low,
-            "ci_high": high,
-            "ci_width": high - low,
-            "units": horizon,
-            "plan_units": len(sizes),
-            "converged": converged,
-            "exhausted": horizon >= len(sizes),
-        }],
-    }
 
 
 def execute_job(job: Job, jobdir: Union[str, Path],
@@ -834,8 +691,17 @@ def execute_job(job: Job, jobdir: Union[str, Path],
         metrics = _LiveMetrics(f"{job.kind}/job-{job.id}",
                                jobdir / "metrics.json")
     try:
-        result = _RUNNERS[job.kind](params, jobdir, cancel, progress,
-                                    metrics)
+        if job.kind == "pipeline":
+            result = _run_pipeline_job(params, jobdir, cancel, progress)
+        else:
+            spec = job_spec(job.kind, params)
+            journal = jobdir / _JOURNALS[spec.schema]
+            controller = _controller(spec, params)
+            results = spec.run(n_jobs=params["jobs"], checkpoint=journal,
+                               resume=journal.exists(), progress=progress,
+                               metrics=metrics, cancel=cancel,
+                               adaptive=controller)
+            result = _job_result(params, spec, results, controller, jobdir)
     except CampaignCancelled as exc:
         if state["why"] == "budget":
             raise BudgetExceeded(

@@ -6,7 +6,6 @@ from .campaign import (
     plan_batches,
     run_pvf_batch,
     run_pvf_campaign,
-    run_pvf_until,
 )
 from .injector import AppHangError, InjectionResult, SoftwareInjector
 from .models import (
@@ -26,7 +25,6 @@ __all__ = [
     "plan_batches",
     "run_pvf_batch",
     "run_pvf_campaign",
-    "run_pvf_until",
     "AppHangError",
     "InjectionResult",
     "SoftwareInjector",

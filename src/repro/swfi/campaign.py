@@ -17,11 +17,12 @@ processes, or in a resumed run.  Merging the per-batch reports in batch
 order therefore reproduces the serial report bit for bit.
 
 Pool execution, JSONL checkpoint/resume and the in-order merge are all
-owned by the shared level-agnostic engine
-(:mod:`repro.campaign.engine`); this module contributes only the
-SWFI-specific pieces — the report type, the per-batch injection loop,
-and the worker state (one :class:`SoftwareInjector` whose
-golden+profile pass runs once per worker).
+owned by the shared level-agnostic engine (:mod:`repro.campaign.engine`,
+driven through :class:`~repro.campaign.spec.CampaignSpec`); this module
+contributes only the SWFI-specific pieces — the report type, the
+per-batch injection loop, the worker state (one
+:class:`SoftwareInjector` whose golden+profile pass runs once per
+worker) and :func:`pvf_spec`, the campaign's plan and journal header.
 """
 
 from __future__ import annotations
@@ -29,25 +30,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Union
 
 from ..campaign.checkpoint import CampaignCheckpoint
-from ..campaign.engine import (
+# ``run_units`` stays a module attribute: perfbench/tracing.py wraps it
+# by name, although specs reach the engine through repro.campaign.spec
+from ..campaign.engine import (  # noqa: F401
     DEFAULT_BATCH_SIZE,
     WorkUnit,
-    merge_ordered,
     plan_batches,
     plan_units,
     run_units,
 )
 from ..campaign.progress import ProgressReporter
-from ..campaign.telemetry import (
-    CampaignMetrics,
-    emit_metrics,
-    resolve_metrics,
-)
+from ..campaign.spec import CampaignSpec, Cell
+from ..campaign.telemetry import CampaignMetrics
 from ..errors import CampaignError
-from ..rng import make_rng, spawn_seed_range
+from ..rng import make_rng
 from ..rtl.classify import Outcome
 from ..analysis.stats import proportion_confidence_interval
 from .injector import InjectionResult, SoftwareInjector
@@ -57,11 +56,9 @@ __all__ = [
     "PVFReport",
     "CampaignCheckpoint",
     "plan_batches",
-    "pvf_checkpoint_header",
+    "pvf_spec",
     "run_pvf_batch",
     "run_pvf_campaign",
-    "run_pvf_units",
-    "run_pvf_until",
 ]
 
 
@@ -187,21 +184,17 @@ def run_pvf_batch(app, model: FaultModel, size: int, seed: int,
 
 # -- engine adapters ---------------------------------------------------------
 class _SwfiState:
-    """Worker-local state: one injector whose golden pass is amortised."""
+    """Worker-local state: one injector whose golden pass is amortised.
+
+    ``functools.partial(_SwfiState, app, model)`` is the picklable
+    worker-state factory; the golden pass runs on the first injection.
+    """
 
     def __init__(self, app, model: FaultModel,
-                 injector: Optional[SoftwareInjector] = None,
-                 eager_golden: bool = False) -> None:
+                 injector: Optional[SoftwareInjector] = None) -> None:
         self.app = app
         self.model = model
         self.injector = injector or SoftwareInjector(app)
-        if eager_golden:
-            self.injector.run_golden()  # pay the reference pass up front
-
-
-def _swfi_state(app, model: FaultModel) -> _SwfiState:
-    """Picklable worker-state factory (``functools.partial`` target)."""
-    return _SwfiState(app, model, eager_golden=True)
 
 
 def _run_swfi_unit(state: _SwfiState, unit: WorkUnit,
@@ -211,49 +204,37 @@ def _run_swfi_unit(state: _SwfiState, unit: WorkUnit,
                          injector=state.injector, timeout=timeout)
 
 
-def pvf_checkpoint_header(app_name: str, model_name: str, seed: int,
-                          batch_size: Optional[int],
-                          n_injections: Optional[int]) -> dict:
-    """The journal header identifying one PVF campaign's unit plan.
+def pvf_spec(app_name: str, model_name: str, n_injections: int,
+             state_factory, *, seed: int = 0,
+             batch_size: Optional[int] = None,
+             timeout: Optional[float] = None) -> CampaignSpec:
+    """The spec of one PVF campaign: see :func:`run_pvf_campaign`.
 
-    Shared between the in-process runner and the service daemon's
-    shard-ingest path, so a journal written by either is resumable by
-    the other (the header is the campaign's identity check).
+    Built from names, so the service can plan a job without building
+    its application: *state_factory* (picklable) builds the worker
+    state — application, fault model and injector — where units run.
+    The journal header is shared by every path that runs the spec, so a
+    journal written by any of them is resumable by the others.
     """
-    return {
+    label = f"{app_name}/{model_name}"
+    header = {
         "app": app_name,
         "model": model_name,
         "seed": int(seed),
         "batch_size": int(DEFAULT_BATCH_SIZE if batch_size is None
                           else batch_size),
-        "n_injections": None if n_injections is None else int(n_injections),
+        "n_injections": int(n_injections),
     }
+    empty = partial(PVFReport, app_name=app_name, model_name=model_name)
+    return CampaignSpec(
+        cells=[Cell(label, plan_units(n_injections, seed, batch_size),
+                    empty)],
+        header=header, schema="pvf-report", stage=f"pvf/{label}",
+        run_unit=partial(_run_swfi_unit, timeout=timeout),
+        state_factory=state_factory)
 
 
-def _open_checkpoint(path: Optional[Union[str, Path]], resume: bool,
-                     app, model: FaultModel, seed: int,
-                     batch_size: Optional[int],
-                     n_injections: Optional[int]
-                     ) -> Optional[CampaignCheckpoint]:
-    if path is None:
-        if resume:
-            raise CampaignError("resume=True requires a checkpoint path")
-        return None
-    header = pvf_checkpoint_header(app.name, model.name, seed,
-                                   batch_size, n_injections)
-    return CampaignCheckpoint(path, header, kind="pvf-report",
-                              resume=resume)
-
-
-def _check_jobs(n_jobs: int, injector: Optional[SoftwareInjector]) -> None:
-    if n_jobs < 1:
-        raise CampaignError("n_jobs must be at least 1")
-    if n_jobs > 1 and injector is not None:
-        raise CampaignError(
-            "a shared injector cannot be used with parallel workers")
-
-
-# -- campaign runners --------------------------------------------------------
+# -- campaign runner ---------------------------------------------------------
 def run_pvf_campaign(app, model: FaultModel, n_injections: int,
                      seed: int = 0,
                      injector: Optional[SoftwareInjector] = None,
@@ -278,127 +259,14 @@ def run_pvf_campaign(app, model: FaultModel, n_injections: int,
     run's wall-clock seconds, converting runaways into DUEs.  ``metrics``
     collects per-batch telemetry (created automatically for checkpointed
     runs and written next to the journal); ``n_injections=0`` yields an
-    empty report.
+    empty report.  To inject only until the PVF interval is tight, use
+    :func:`repro.adaptive.run_adaptive_pvf_campaign`.
     """
-    _check_jobs(n_jobs, injector)
-    units = plan_units(n_injections, seed, batch_size)
-    journal = _open_checkpoint(checkpoint, resume, app, model, seed,
-                               batch_size, n_injections)
-    metrics = resolve_metrics(metrics, checkpoint,
-                              f"pvf/{app.name}/{model.name}")
-    state = None
-    if n_jobs == 1 and units:
-        state = _SwfiState(app, model, injector=injector)
-    results = run_units(
-        units,
-        partial(_run_swfi_unit, timeout=timeout),
-        n_jobs=n_jobs,
-        state_factory=partial(_swfi_state, app, model),
-        state=state,
-        checkpoint=journal,
-        progress=progress,
-        metrics=metrics,
-        cancel=cancel,
-    )
-    emit_metrics(metrics, checkpoint)
-    return merge_ordered(results, empty=lambda: PVFReport(
-        app_name=app.name, model_name=model.name))
-
-
-def run_pvf_units(app, model: FaultModel, n_injections: int,
-                  lo: int, hi: int,
-                  seed: int = 0,
-                  batch_size: Optional[int] = None,
-                  timeout: Optional[float] = None,
-                  cancel: Optional[Callable[[], bool]] = None
-                  ) -> Dict[int, PVFReport]:
-    """Run only units ``[lo, hi)`` of the campaign's deterministic plan.
-
-    This is the distributed-worker entry point: the unit plan depends
-    only on ``(n_injections, seed, batch_size)``, so any worker handed a
-    ``(lo, hi)`` shard recomputes exactly the units (index, size, child
-    seed) the single-process run would have executed at those indices.
-    Merging all shards' reports in unit-index order (the daemon's job)
-    is therefore bit-identical to the serial campaign.  Returns
-    ``{unit index: batch report}``.
-    """
-    units = plan_units(n_injections, seed, batch_size)
-    if not 0 <= lo < hi <= len(units):
-        raise CampaignError(
-            f"unit range [{lo}, {hi}) is outside the campaign's "
-            f"{len(units)}-unit plan")
-    subset = units[lo:hi]
-    done = run_units(
-        subset,
-        partial(_run_swfi_unit, timeout=timeout),
-        n_jobs=1,
-        state=_SwfiState(app, model),
-        cancel=cancel,
-    )
-    return dict(done)
-
-
-def run_pvf_until(app, model: FaultModel,
-                  target_halfwidth: float = 0.05,
-                  confidence: float = 0.95,
-                  min_injections: int = 100,
-                  max_injections: int = 50_000,
-                  seed: int = 0,
-                  injector: Optional[SoftwareInjector] = None,
-                  n_jobs: int = 1,
-                  timeout: Optional[float] = None,
-                  progress: Optional[ProgressReporter] = None,
-                  metrics: Optional[CampaignMetrics] = None
-                  ) -> PVFReport:
-    """Inject until the PVF confidence interval is tight enough.
-
-    The paper sizes its campaigns so the 95% confidence interval stays
-    below 5 percentage points; this runner does that adaptively: it
-    injects in batches of *min_injections* until the Wilson interval's
-    half-width drops under *target_halfwidth* (or *max_injections* is
-    reached).  With ``n_jobs > 1`` each adaptive round launches one batch
-    per worker, so the campaign grows ``n_jobs`` batches at a time; batch
-    seeds keep following the global child-seed index, making any run
-    reproducible for a fixed ``(seed, min_injections, n_jobs)``.
-    """
-    if not 0 < target_halfwidth < 1:
-        raise ValueError("target_halfwidth must be in (0, 1)")
-    if min_injections < 10:
-        raise ValueError("min_injections must be at least 10")
-    _check_jobs(n_jobs, injector)
-    state = None
-    if n_jobs == 1:
-        state = _SwfiState(app, model, injector=injector)
-    report = PVFReport(app_name=app.name, model_name=model.name)
-    next_index = 0
-    while report.n_injections < max_injections:
-        units = []
-        scheduled = report.n_injections
-        round_seeds = spawn_seed_range(seed, next_index, n_jobs)
-        for offset in range(n_jobs):
-            size = min(min_injections, max_injections - scheduled)
-            if size <= 0:
-                break
-            units.append(WorkUnit(
-                index=next_index + offset, size=size,
-                seed=round_seeds[offset],
-                label=f"batch {next_index + offset}"))
-            scheduled += size
-        done = run_units(
-            units,
-            partial(_run_swfi_unit, timeout=timeout),
-            n_jobs=n_jobs,
-            state_factory=partial(_swfi_state, app, model),
-            state=state,
-            progress=progress,
-            metrics=metrics,
-        )
-        if metrics is not None:
-            metrics.total_units = None  # adaptive: total is unknowable
-        next_index += len(units)
-        for index in sorted(done):
-            report.merge_in(done[index])
-        low, high = report.confidence_interval(confidence)
-        if (high - low) / 2 <= target_halfwidth:
-            break
-    return report
+    spec = pvf_spec(app.name, model.name, n_injections,
+                    partial(_SwfiState, app, model), seed=seed,
+                    batch_size=batch_size, timeout=timeout)
+    state = None if injector is None else _SwfiState(app, model, injector)
+    results = spec.run(n_jobs=n_jobs, state=state, checkpoint=checkpoint,
+                       resume=resume, progress=progress, metrics=metrics,
+                       cancel=cancel)
+    return spec.merge(results)[0]

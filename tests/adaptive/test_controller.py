@@ -16,8 +16,6 @@ from repro.adaptive import (
     STRATEGIES,
     AdaptiveConfig,
     AdaptiveController,
-    initial_horizon,
-    next_horizon,
     required_trials,
 )
 from repro.analysis.stats import wilson_interval
@@ -71,52 +69,81 @@ class TestRequiredTrials:
 
 
 class TestHorizons:
+    """One cell's horizon decisions, reached through the controller.
+
+    The service daemon replays a job's journal through
+    :meth:`AdaptiveController.replay`; these cases pin the stop rule it
+    reaches from hand-fed tallies.
+    """
+
     config = AdaptiveConfig(target_ci=0.05, min_per_cell=100)
     sizes = [50] * 40
 
+    def _controller(self, sizes=None, config=None):
+        controller = AdaptiveController(config or self.config)
+        controller.add_cell(
+            "cell", _units(self.sizes if sizes is None else sizes))
+        return controller
+
+    def _horizon(self, controller):
+        return len(controller.planned_units)
+
     def test_initial_horizon_covers_warm_up(self):
-        assert initial_horizon(self.sizes, self.config) == 2
-        assert initial_horizon([30] * 10, self.config) == 4  # 120 >= 100
-        assert initial_horizon([], self.config) == 0
+        assert len(self._controller().next_round()) == 2
+        assert len(self._controller([30] * 10).next_round()) == 4  # 120
+        assert self._controller([]).next_round() == []
 
     def test_no_tallies_yields_warm_up(self):
-        assert next_horizon(0, 0, 0, self.sizes, self.config) == 2
+        controller = self._controller()
+        assert controller.replay({}) is False  # warm-up still in flight
+        assert self._horizon(controller) == 2
 
     def test_lagging_tallies_freeze_the_horizon(self):
-        # 2 units (100 injections) planned but only 50 observed: units
+        # 2 units (100 injections) planned but only 50 journaled: units
         # are still in flight, so no decision is taken
-        assert next_horizon(50, 10, 2, self.sizes, self.config) == 2
+        controller = self._controller()
+        assert controller.replay({0: _report(50, 10)}) is False
+        assert self._horizon(controller) == 2 and controller.rounds == 1
 
     def test_exhausted_plan_stops(self):
-        n = sum(self.sizes)
-        assert next_horizon(n, n // 2, 40, self.sizes, self.config) == 40
+        # 2000 planned trials cannot narrow p = 0.5 to a 0.01 width
+        controller = self._controller(
+            config=AdaptiveConfig(target_ci=0.01, min_per_cell=100))
+        completed = {i: _report(50, 25) for i in range(len(self.sizes))}
+        assert controller.replay(completed) is True
+        assert self._horizon(controller) == 40
+        assert controller.next_round() == []
 
     def test_converged_cell_stops(self):
         config = AdaptiveConfig(target_ci=0.1, min_per_cell=100)
         low, high = wilson_interval(500, 1000, config.confidence)
         assert high - low <= config.target_ci  # premise of the test
-        assert next_horizon(1000, 500, 20, self.sizes, config) == 20
+        controller = self._controller(config=config)
+        for unit in _units(self.sizes)[:20]:  # 1000 trials, 500 SDCs
+            controller.observe(unit, _report(50, 25))
+        assert controller.next_round() == []
+        assert self._horizon(controller) == 20
 
     def test_unconverged_cell_extends_by_its_deficit(self):
         # p = 0.5 at n = 100 needs ~1537 trials: deficit 1437, i.e.
         # 29 more units of 50 on top of the current 2
-        assert next_horizon(100, 50, 2, self.sizes, self.config) == 31
+        controller = self._controller()
+        assert controller.replay({0: _report(50, 25),
+                                  1: _report(50, 25)}) is False
+        assert self._horizon(controller) == 31
 
     def test_horizon_sequence_is_monotonic(self):
-        horizon, trials = 0, 0
+        controller = self._controller()
         seen = []
         while True:
-            extended = next_horizon(trials, trials // 2, horizon,
-                                    self.sizes, self.config)
-            if extended == horizon and trials >= sum(
-                    self.sizes[:horizon]):
+            round_units = controller.next_round()
+            if not round_units:
                 break
-            assert extended >= horizon
-            horizon = extended
-            trials = sum(self.sizes[:horizon])
-            seen.append(horizon)
+            for unit in round_units:
+                controller.observe(unit, _report(unit.size, unit.size // 2))
+            seen.append(self._horizon(controller))
         assert seen == sorted(seen)
-        assert horizon <= len(self.sizes)
+        assert seen[-1] <= len(self.sizes)
 
 
 class TestController:

@@ -127,6 +127,18 @@ class TestValidation:
                          apps=["NoSuchApp"], injections=10, quiet=True)
 
 
+class TestCancellation:
+    def test_cancel_stops_the_rtl_grid_before_any_unit(self, tmp_path):
+        from repro.errors import CampaignCancelled
+
+        with pytest.raises(CampaignCancelled):
+            run_pipeline(tmp_path, cancel=lambda: True, **CONFIG)
+        journal = (tmp_path / "rtl_grid.jsonl").read_text().splitlines()
+        assert [json.loads(line)["kind"] for line in journal] == ["header"]
+        assert not (tmp_path / "tmxm.jsonl").exists()
+        assert not (tmp_path / "syndrome_db.json").exists()
+
+
 class TestTelemetryArtifacts:
     def test_per_stage_metrics_written(self, finished):
         from repro.campaign import load_metrics

@@ -66,12 +66,14 @@ class TestStore:
 
 
 class TestAdaptiveCampaign:
+    """Inject-until-tight PVF runs: the adaptive runner's job."""
+
     def test_stops_when_tight(self):
         import numpy as np
 
+        from repro.adaptive import AdaptiveConfig, run_adaptive_pvf_campaign
         from repro.apps.base import GPUApplication
         from repro.swfi import SingleBitFlip
-        from repro.swfi.campaign import run_pvf_until
 
         class Tiny(GPUApplication):
             name = "tiny"
@@ -79,22 +81,19 @@ class TestAdaptiveCampaign:
             def run(self, ops):
                 return ops.fadd(np.arange(8, dtype=np.float32), 1.0)
 
-        report = run_pvf_until(Tiny(), SingleBitFlip(),
-                               target_halfwidth=0.08,
-                               min_injections=50, max_injections=2000,
-                               seed=0)
-        low, high = report.confidence_interval()
-        assert (high - low) / 2 <= 0.08
-        assert report.n_injections <= 2000
+        outcome = run_adaptive_pvf_campaign(
+            Tiny(), SingleBitFlip(), 2000,
+            AdaptiveConfig(target_ci=0.16, min_per_cell=50), seed=0,
+            batch_size=50)
+        (cell,) = outcome.summary
+        assert outcome.converged and cell["ci_width"] <= 0.16
+        assert outcome.report.n_injections <= 2000
 
     def test_validation(self):
-        from repro.apps import MatrixMultiply
-        from repro.swfi import SingleBitFlip
-        from repro.swfi.campaign import run_pvf_until
+        from repro.adaptive import AdaptiveConfig
+        from repro.errors import CampaignError
 
-        with pytest.raises(ValueError):
-            run_pvf_until(MatrixMultiply(n=8, tile=8), SingleBitFlip(),
-                          target_halfwidth=0.0)
-        with pytest.raises(ValueError):
-            run_pvf_until(MatrixMultiply(n=8, tile=8), SingleBitFlip(),
-                          min_injections=5)
+        with pytest.raises(CampaignError):
+            AdaptiveConfig(target_ci=0.0)
+        with pytest.raises(CampaignError):
+            AdaptiveConfig(min_per_cell=0)

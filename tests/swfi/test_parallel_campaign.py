@@ -15,12 +15,12 @@ from repro.errors import CampaignError
 from repro.gpu.isa import Opcode
 from repro.rng import make_rng, spawn_seed_range, spawn_seeds
 from repro.rtl.classify import Outcome
+from repro.adaptive import AdaptiveConfig, run_adaptive_pvf_campaign
 from repro.swfi.campaign import (
     PVFReport,
     plan_batches,
     run_pvf_batch,
     run_pvf_campaign,
-    run_pvf_until,
 )
 from repro.swfi.injector import SoftwareInjector
 from repro.swfi.models import (
@@ -202,18 +202,27 @@ class TestCheckpoint:
 
 
 class TestRunUntil:
+    """Inject-until-tight runs go through the adaptive PVF runner."""
+
     def test_serial_reproducible(self):
-        kwargs = dict(min_injections=50, max_injections=200, seed=2)
-        a = run_pvf_until(MixedApp(), SingleBitFlip(), **kwargs)
-        b = run_pvf_until(MixedApp(), SingleBitFlip(), **kwargs)
-        assert a.to_dict() == b.to_dict()
+        kwargs = dict(config=AdaptiveConfig(target_ci=0.1, min_per_cell=50),
+                      seed=2, batch_size=50)
+        a = run_adaptive_pvf_campaign(MixedApp(), SingleBitFlip(), 200,
+                                      **kwargs)
+        b = run_adaptive_pvf_campaign(MixedApp(), SingleBitFlip(), 200,
+                                      **kwargs)
+        assert a.report.to_dict() == b.report.to_dict()
+        assert a.summary == b.summary
 
     @pytest.mark.multicore
     def test_parallel_grows_in_rounds(self):
-        report = run_pvf_until(
-            MixedApp(), SingleBitFlip(), target_halfwidth=0.001,
-            min_injections=20, max_injections=80, seed=2, n_jobs=2)
-        assert report.n_injections == 80
+        # an unreachable target: rounds grow the prefix to the whole plan
+        outcome = run_adaptive_pvf_campaign(
+            MixedApp(), SingleBitFlip(), 80,
+            AdaptiveConfig(target_ci=0.002, min_per_cell=20), seed=2,
+            batch_size=20, n_jobs=2)
+        assert outcome.report.n_injections == 80
+        assert outcome.rounds >= 2
 
 
 class TestWallClockGuard:
