@@ -552,10 +552,13 @@ class FaultPlane:
         modules dispatch every stage-register write through :meth:`latch`
         (which logs it and returns the value unchanged), and
         :meth:`pending_for` reports True so conditionally-skipped latches
-        (pipeline bubbles, shadow banks) are captured too.  The recorded
-        latch schedule is therefore a superset of what any single faulted
-        run performs before its transient fires — the property the
-        vectorized injector's fault-firing resolution relies on.
+        (pipeline bubbles, shadow banks) are captured too.  A pipeline
+        bubble reaches the recorder as one event for the whole bank
+        (:meth:`latch_bubble`), which stands for a latch of each of its
+        flip-flops.  The recorded latch schedule is therefore a superset
+        of what any single faulted run performs before its transient
+        fires — the property the vectorized injector's fault-firing
+        resolution relies on.
         """
         if self._armed is not None:
             raise RuntimeError(
@@ -615,6 +618,19 @@ class FaultPlane:
         Permanent models have no decay deadline and never set this.
         """
         return self._expired_fault is not None
+
+    def latch_bubble(self, module: str) -> None:
+        """Latch 0 into every flip-flop of *module* (a pipeline bubble).
+
+        A recorder logs the bubble as one event for the whole module.
+        Otherwise only the armed register can observe a write, so while
+        its model is pending on *module* that register alone is latched.
+        """
+        if self._recorder is not None:
+            self._recorder.on_bubble(module, self.cycle)
+        elif self.pending_for(module):
+            _, name, lane = self._armed_key
+            self.latch(module, name, 0, lane)
 
     # -- the hot path --------------------------------------------------------
     def latch(self, module: str, name: str, value: int, lane: int = -1) -> int:

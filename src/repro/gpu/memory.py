@@ -60,6 +60,10 @@ class GlobalMemory:
         """Copy of the full memory contents (for golden comparison)."""
         return list(self._words)
 
+    def restore(self, words: List[int]) -> None:
+        """Overwrite the contents with a :meth:`snapshot` (copied)."""
+        self._words = list(words)
+
     def _check(self, address: int) -> None:
         if not 0 <= address < self.n_words:
             raise MemoryFaultError(
@@ -140,6 +144,18 @@ class RegisterFile:
         armed.fired_cycle = self._plane.cycle
         if not erase:
             self._regs[thread][index] ^= armed.mask
+
+    def snapshot(self) -> "tuple[List[List[int]], List[List[bool]]]":
+        """Copy of every register and predicate value."""
+        return ([list(row) for row in self._regs],
+                [list(row) for row in self._preds])
+
+    def restore(self, snapshot: "tuple[List[List[int]], List[List[bool]]]"
+                ) -> None:
+        """Overwrite the values with a :meth:`snapshot` (copied)."""
+        regs, preds = snapshot
+        self._regs = [list(row) for row in regs]
+        self._preds = [list(row) for row in preds]
 
     def read_predicate(self, thread: int, index: int) -> bool:
         self._check_pred(thread, index)

@@ -289,14 +289,9 @@ class PipelineRegisters:
 
         Called during fetch/decode overhead and memory-latency stall
         cycles: the pipeline keeps clocking, but whatever a transient
-        flips in a bubble slot is discarded.  Skipped entirely unless an
-        injection is still pending (golden runs pay nothing).
+        flips in a bubble slot is discarded.  Every flip-flop of the
+        module latches 0, so the plane handles the bubble as one event
+        (:meth:`FaultPlane.latch_bubble`); golden runs pay nothing.
         """
-        if not self.plane.pending_for(self.module):
-            return
-        for slot in range(self.warp_size):
-            for name, _, _ in self._SLOT_REGISTERS:
-                self.plane.latch(self.module, name, 0, slot)
-        for prefix in [""] + self._shadow_prefixes:
-            for name, _, _ in self._CTRL_REGISTERS:
-                self.plane.latch(self.module, prefix + name, 0, -1)
+        if not self.plane.passive:
+            self.plane.latch_bubble(self.module)

@@ -110,6 +110,17 @@ class WarpScheduler:
             self._contexts.append(ctx)
             self._relatch(ctx)
 
+    def snapshot(self) -> tuple:
+        """Copy of the warp contexts and controller registers."""
+        return (tuple((c.warp_id, c.pc, c.active_mask, c.state,
+                       c.thread_base) for c in self._contexts),
+                self._rr_pointer, self._dispatches)
+
+    def restore(self, snapshot: tuple) -> None:
+        """Reload a :meth:`snapshot` without latching anything."""
+        contexts, self._rr_pointer, self._dispatches = snapshot
+        self._contexts = [WarpContext(*fields) for fields in contexts]
+
     def _relatch(self, ctx: WarpContext) -> None:
         """Push a warp's context through its scheduler registers."""
         wid = ctx.warp_id

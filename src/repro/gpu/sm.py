@@ -12,12 +12,19 @@ The SM raises :class:`~repro.errors.GpuHardwareError` subclasses for every
 condition a real GPU would surface as a detected unrecoverable error:
 watchdog expiry, illegal PCs and opcodes, out-of-range register indices and
 out-of-bounds memory accesses.  The RTL campaign classifies those as DUEs.
+
+A fault-free run can be paused at any dispatch-loop boundary
+(:meth:`StreamingMultiprocessor.walk`) and captured as an
+:class:`SMCheckpoint`; ``launch(..., start=checkpoint)`` resumes from it.
+The datapath, pipeline and SFU modules hold no state between loop
+iterations, so the checkpoint is the plane cycle, the scheduler, the
+register file and both memories.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..errors import (
     FaultDecayedError,
@@ -37,8 +44,8 @@ from .intu import IntUnit
 from .sfu import SfuController
 from .trace import GoldenTraceRecorder
 
-__all__ = ["SMConfig", "KernelResult", "StreamingMultiprocessor",
-           "TraceEntry"]
+__all__ = ["SMConfig", "KernelResult", "SMCheckpoint",
+           "StreamingMultiprocessor", "TraceEntry"]
 
 
 @dataclass(frozen=True)
@@ -88,6 +95,26 @@ class KernelResult:
     trace: Optional[List[TraceEntry]] = None
 
 
+#: Default watchdog budget of a launch, in cycles.
+_MAX_CYCLES = 100_000
+
+
+@dataclass(frozen=True)
+class SMCheckpoint:
+    """A fault-free run's state at the top of one dispatch-loop iteration.
+
+    ``scheduler`` and ``registers`` are :meth:`WarpScheduler.snapshot`
+    and :meth:`RegisterFile.snapshot` values; ``memory`` and ``shared``
+    are the global and shared memory words.
+    """
+
+    cycle: int
+    scheduler: tuple
+    registers: tuple
+    memory: List[int]
+    shared: List[int]
+
+
 class StreamingMultiprocessor:
     """Executable RTL-style model of one GPU streaming multiprocessor."""
 
@@ -126,9 +153,10 @@ class StreamingMultiprocessor:
         memory_image: Optional[Dict[int, Sequence[int]]] = None,
         initial_registers: Optional[Dict[int, Sequence[int]]] = None,
         fault: Optional[FaultModel] = None,
-        max_cycles: int = 100_000,
+        max_cycles: int = _MAX_CYCLES,
         trace: bool = False,
         recorder: Optional[GoldenTraceRecorder] = None,
+        start: Optional[SMCheckpoint] = None,
     ) -> KernelResult:
         """Run *program* over *n_threads* threads and return the result.
 
@@ -143,7 +171,68 @@ class StreamingMultiprocessor:
         ``recorder`` attaches a :class:`GoldenTraceRecorder` for the
         duration of the (necessarily fault-free) run, capturing the latch
         and dispatch schedule the vectorized fault engine replays.
+
+        ``start`` resumes the same fault-free launch from an
+        :class:`SMCheckpoint` taken during a :meth:`walk` instead of from
+        cycle 0 (the memory image and initial registers are already in
+        it).  With ``fault`` armed, the run is bit-identical to the full
+        one as long as every latch before the checkpoint happened before
+        the fault's activation cycle: until then no model changes a value.
         """
+        self._load(program, n_threads, memory_image, initial_registers,
+                   start)
+        self._trace: Optional[List[TraceEntry]] = [] if trace else None
+        if recorder is not None:
+            if fault is not None:
+                raise ValueError(
+                    "golden-trace recording requires a fault-free run")
+            self._recorder = recorder
+            self.plane.attach_recorder(recorder)
+        if fault is not None:
+            self.plane.arm(fault)
+        try:
+            cycles = self._run(max_cycles, start)
+            if recorder is not None:
+                recorder.finish(cycles)
+        finally:
+            if recorder is not None:
+                self._recorder = None
+                self.plane.detach_recorder()
+            else:
+                self.plane.disarm()
+        return KernelResult(self._memory, cycles, n_threads,
+                            self._registers, self._trace)
+
+    def walk(
+        self,
+        program: Program,
+        n_threads: int,
+        memory_image: Optional[Dict[int, Sequence[int]]] = None,
+        initial_registers: Optional[Dict[int, Sequence[int]]] = None,
+    ) -> Iterator[int]:
+        """Run *program* on the passive plane, pausing at every boundary.
+
+        Yields the plane cycle at the top of each dispatch-loop
+        iteration, before the scheduler selects a warp.  While the walk
+        is paused, :meth:`checkpoint` captures the state there.
+        """
+        self._load(program, n_threads, memory_image, initial_registers,
+                   None)
+        self._trace = None
+        yield from self._loop(_MAX_CYCLES, None)
+
+    def checkpoint(self) -> SMCheckpoint:
+        """The state of a :meth:`walk` paused at a loop boundary."""
+        return SMCheckpoint(self.plane.cycle, self.scheduler.snapshot(),
+                            self._registers.snapshot(),
+                            self._memory.snapshot(),
+                            self._shared.snapshot())
+
+    def _load(self, program: Program, n_threads: int,
+              memory_image: Optional[Dict[int, Sequence[int]]],
+              initial_registers: Optional[Dict[int, Sequence[int]]],
+              start: Optional[SMCheckpoint]) -> None:
+        """Set up the register file, memories and clock for a run."""
         cfg = self.config
         if n_threads <= 0 or n_threads > cfg.max_warps * cfg.warp_size:
             raise ValueError(
@@ -156,6 +245,12 @@ class StreamingMultiprocessor:
             plane=self.plane, ecc=cfg.ecc_enabled)
         self._memory = GlobalMemory(cfg.memory_words)
         self._shared = GlobalMemory(cfg.shared_memory_words)
+        if start is not None:
+            self._registers.restore(start.registers)
+            self._memory.restore(start.memory)
+            self._shared.restore(start.shared)
+            self.plane.cycle = start.cycle
+            return
         if memory_image:
             for base, words in memory_image.items():
                 self._memory.write_words(base, words)
@@ -165,29 +260,7 @@ class StreamingMultiprocessor:
             for reg, values in initial_registers.items():
                 for tid in range(min(n_threads, len(values))):
                     self._registers.write(tid, reg, values[tid])
-
         self.plane.reset_time()
-        self._trace: Optional[List[TraceEntry]] = [] if trace else None
-        if recorder is not None:
-            if fault is not None:
-                raise ValueError(
-                    "golden-trace recording requires a fault-free run")
-            self._recorder = recorder
-            self.plane.attach_recorder(recorder)
-        if fault is not None:
-            self.plane.arm(fault)
-        try:
-            cycles = self._run(max_cycles)
-            if recorder is not None:
-                recorder.finish(cycles)
-        finally:
-            if recorder is not None:
-                self._recorder = None
-                self.plane.detach_recorder()
-            else:
-                self.plane.disarm()
-        return KernelResult(self._memory, cycles, n_threads,
-                            self._registers, self._trace)
 
     def select_float_unit(self, precision: str) -> None:
         """Route FADD/FMUL/FFMA through the datapath for *precision*.
@@ -204,24 +277,36 @@ class StreamingMultiprocessor:
                 f"{sorted(self.float_units)}") from None
 
     # -- main loop -------------------------------------------------------------------
-    def _run(self, max_cycles: int) -> int:
+    def _run(self, max_cycles: int, start: Optional[SMCheckpoint]) -> int:
+        recorder = self._recorder
+        for cycle in self._loop(max_cycles, start):
+            if recorder is not None:
+                recorder.begin_iteration(cycle)
+        return self.plane.cycle
+
+    def _loop(self, max_cycles: int,
+              start: Optional[SMCheckpoint]) -> Iterator[int]:
+        """The dispatch loop; yields the plane cycle at each boundary."""
         cfg = self.config
         program = self._program
-        n_warps = (self._n_threads + cfg.warp_size - 1) // cfg.warp_size
         scheduler = self.scheduler
-        scheduler.reset(start_pc=0)
-        # retire unused warps, trim the tail warp's mask to real threads
-        for ctx in scheduler.contexts:
-            base = ctx.warp_id * cfg.warp_size
-            if ctx.warp_id >= n_warps:
-                ctx.state = WarpState.EXITED
-                continue
-            live = min(self._n_threads - base, cfg.warp_size)
-            if live < cfg.warp_size:
-                scheduler.set_mask(ctx, (1 << live) - 1)
+        if start is not None:
+            scheduler.restore(start.scheduler)
+        else:
+            n_warps = (self._n_threads + cfg.warp_size - 1) // cfg.warp_size
+            scheduler.reset(start_pc=0)
+            # retire unused warps, trim the tail warp's mask to real threads
+            for ctx in scheduler.contexts:
+                base = ctx.warp_id * cfg.warp_size
+                if ctx.warp_id >= n_warps:
+                    ctx.state = WarpState.EXITED
+                    continue
+                live = min(self._n_threads - base, cfg.warp_size)
+                if live < cfg.warp_size:
+                    scheduler.set_mask(ctx, (1 << live) - 1)
 
-        steps = 0
         while not scheduler.all_exited():
+            yield self.plane.cycle
             ctx = scheduler.select()
             if ctx is None:
                 if scheduler.barrier_complete() and any(
@@ -252,14 +337,12 @@ class StreamingMultiprocessor:
                     inst.predicate is not None)
             self._execute(ctx, program[ctx.pc])
             self.plane.tick()
-            steps += 1
             if self.plane.fault_decayed:
                 raise FaultDecayedError(
                     "transient decayed unconsumed; run is golden-identical")
             if self.plane.cycle > max_cycles:
                 raise GpuHangError(
                     f"watchdog expired after {self.plane.cycle} cycles")
-        return self.plane.cycle
 
     # -- instruction execution ----------------------------------------------------------
     def _execute(self, ctx: WarpContext, inst: Instruction) -> None:

@@ -24,7 +24,12 @@ every stage-register write through :meth:`GoldenTraceRecorder.on_latch`
 and reports ``pending_for() == True`` so conditionally-skipped latches
 (pipeline bubbles, shadow banks) land in the schedule as well — making
 the recorded latch set a superset of any single faulted run's pre-fire
-latch set.
+latch set.  A pipeline bubble latches 0 into every flip-flop of the
+bank at once, so it is logged as one :meth:`GoldenTraceRecorder.on_bubble`
+event for the whole module rather than one event per register.
+The recorder also keeps the cycle of every dispatch-loop boundary, where
+the vectorized injector forks its scalar fallbacks from golden
+checkpoints.
 """
 
 from __future__ import annotations
@@ -90,6 +95,12 @@ class GoldenTraceRecorder:
         self._event_cycles: Dict[Tuple[str, str, int], List[int]] = {}
         self._event_sites: Dict[Tuple[str, str, int],
                                 List[Tuple[int, int]]] = {}
+        #: module -> the same parallel lists for its bubble cycles, each
+        #: a latch of every flip-flop of the module
+        self._bubble_cycles: Dict[str, List[int]] = {}
+        self._bubble_sites: Dict[str, List[Tuple[int, int]]] = {}
+        #: plane cycle at the top of every dispatch-loop iteration
+        self.boundaries: List[int] = []
         self._beat = self.NO_BEAT
         self.total_cycles = 0
 
@@ -132,17 +143,26 @@ class GoldenTraceRecorder:
     def finish(self, total_cycles: int) -> None:
         self.total_cycles = total_cycles
 
-    # -- FaultPlane hook ---------------------------------------------------
+    def begin_iteration(self, cycle: int) -> None:
+        self.boundaries.append(cycle)
+
+    # -- FaultPlane hooks --------------------------------------------------
     def on_latch(self, module: str, name: str, lane: int,
                  cycle: int) -> None:
-        key = (module, name, lane)
-        cycles = self._event_cycles.get(key)
+        self._append(self._event_cycles, self._event_sites,
+                     (module, name, lane), cycle)
+
+    def on_bubble(self, module: str, cycle: int) -> None:
+        """Every flip-flop of *module* latched a bubble at *cycle*."""
+        self._append(self._bubble_cycles, self._bubble_sites, module, cycle)
+
+    def _append(self, cycles_by, sites_by, key, cycle: int) -> None:
+        cycles = cycles_by.get(key)
         if cycles is None:
-            cycles = self._event_cycles[key] = []
-            self._event_sites[key] = []
-        step = len(self.steps) - 1
+            cycles = cycles_by[key] = []
+            sites_by[key] = []
         cycles.append(cycle)
-        self._event_sites[key].append((step, self._beat))
+        sites_by[key].append((len(self.steps) - 1, self._beat))
 
     # -- firing resolution -------------------------------------------------
     def first_latch_at_or_after(
@@ -154,13 +174,25 @@ class GoldenTraceRecorder:
         before the injection cycle cannot consume the transient.  Returns
         None when the register never latches again — the transient decays
         unconsumed (Masked, not fired) exactly as the scalar run's
-        latching-window semantics dictate.
+        latching-window semantics dictate.  A bubble of the key's module
+        counts as a latch of the key.
         """
-        cycles = self._event_cycles.get(key)
-        if not cycles:
-            return None
-        pos = bisect_left(cycles, cycle)
-        if pos == len(cycles):
-            return None
-        step, beat = self._event_sites[key][pos]
-        return cycles[pos], step, beat
+        own = _first_at_or_after(self._event_cycles.get(key),
+                                 self._event_sites.get(key), cycle)
+        bubble = _first_at_or_after(self._bubble_cycles.get(key[0]),
+                                    self._bubble_sites.get(key[0]), cycle)
+        if bubble is not None and (own is None or bubble[0] < own[0]):
+            return bubble
+        return own
+
+
+def _first_at_or_after(cycles: Optional[List[int]],
+                       sites: Optional[List[Tuple[int, int]]],
+                       cycle: int) -> Optional[Tuple[int, int, int]]:
+    if not cycles:
+        return None
+    pos = bisect_left(cycles, cycle)
+    if pos == len(cycles):
+        return None
+    step, beat = sites[pos]
+    return cycles[pos], step, beat

@@ -14,7 +14,12 @@ from typing import List, Optional, Sequence
 
 from ..errors import FaultDecayedError, GpuHardwareError
 from ..gpu.fault_plane import FaultModel
-from ..gpu.sm import KernelResult, SMConfig, StreamingMultiprocessor
+from ..gpu.sm import (
+    KernelResult,
+    SMCheckpoint,
+    SMConfig,
+    StreamingMultiprocessor,
+)
 from .classify import Outcome, RunClassification, classify_run
 from .microbench import Microbenchmark
 from .reports import FaultDescriptor
@@ -62,8 +67,14 @@ class RTLInjector:
 
     # -- fault execution -----------------------------------------------------------
     def inject(self, bench: Microbenchmark, golden: GoldenRun,
-               fault: FaultModel) -> RunClassification:
-        """Run *bench* with one armed fault model and classify the outcome."""
+               fault: FaultModel,
+               start: Optional[SMCheckpoint] = None) -> RunClassification:
+        """Run *bench* with one armed fault model and classify the outcome.
+
+        ``start`` forks the run from a golden checkpoint of *bench* taken
+        at or before the fault's activation cycle (see
+        :meth:`StreamingMultiprocessor.launch`).
+        """
         fault.reset()  # allow fault-list reuse across runs
         max_cycles = max(_WATCHDOG_FACTOR * golden.cycles, 2_000)
         try:
@@ -74,6 +85,7 @@ class RTLInjector:
                 initial_registers=bench.initial_registers,
                 fault=fault,
                 max_cycles=max_cycles,
+                start=start,
             )
         except FaultDecayedError:
             return RunClassification(Outcome.MASKED, fault_fired=False)

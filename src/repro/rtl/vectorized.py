@@ -29,9 +29,18 @@ batch:
    kernels (scalar unit fallback for FFMA).
 4. **Divergence ejects to the scalar path.**  Anything the lockstep
    replay cannot express — a predicate vote that changes control flow, a
-   predicate activating a lane the golden run never executed — falls
-   back to :meth:`RTLInjector.inject`, preserving bit-identical
-   classifications by construction rather than by approximation.
+   predicate activating a lane the golden run never executed, a fired
+   control-module fault, a non-transient model — falls back to
+   :meth:`RTLInjector.inject`, preserving bit-identical classifications
+   by construction rather than by approximation.  A fallback starts
+   from a golden checkpoint instead of cycle 0: one fault-free walk per
+   batch on the scratch SM visits the fallbacks in activation-cycle
+   order and forks each from the last dispatch-loop boundary at or
+   before its activation cycle.  That is exact because no fault model
+   changes a latched value before its activation cycle, and no decay
+   deadline passes before it either; a fault active from cycle 0 keeps
+   the full launch, since the scheduler reset latches before the first
+   boundary.
 
 Out-of-bounds addresses computed from corrupted operands classify as
 DUE with exactly the scalar run's ``MemoryFaultError`` message; faults
@@ -41,15 +50,16 @@ take the vectorized path at all.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..campaign.engine import UnitTimeout, wall_clock_limit
 from ..gpu.fault_plane import FaultModel, FaultPlane, TransientFault
 from ..gpu.isa import Opcode
-from ..gpu.sm import StreamingMultiprocessor
+from ..gpu.sm import SMCheckpoint, StreamingMultiprocessor
 from ..gpu.trace import GoldenTraceRecorder
 from ..gpu.vector import vector_compute
 from .classify import Outcome, RunClassification, classify_run
@@ -107,8 +117,9 @@ class VectorizedRTLInjector:
 
     def __init__(self, injector: Optional[RTLInjector] = None) -> None:
         self.injector = injector or RTLInjector()
-        # scratch SM for single-op re-execution: fire-site corruption and
-        # dirty-lane ops without a numpy kernel (FFMA, SFU polynomials)
+        # scratch SM for single-op re-execution (fire-site corruption and
+        # dirty-lane ops without a numpy kernel: FFMA, SFU polynomials)
+        # and for the golden walk the scalar fallbacks fork from
         self._scratch = StreamingMultiprocessor(self.injector.sm.config)
 
     # -- golden capture ----------------------------------------------------
@@ -159,7 +170,8 @@ class VectorizedRTLInjector:
         one XOR landing on one latch.  Persistent (stuck-at) and
         windowed multi-hit (burst) models corrupt arbitrarily many
         latches, so they are routed to the scalar interpreter
-        explicitly — same classifications, no replay speedup.
+        explicitly — same classifications, forked from a golden
+        checkpoint like every other scalar fallback.
         """
         out: List[Optional[RunClassification]] = [None] * len(faults)
         recorder = prepared.recorder
@@ -200,17 +212,51 @@ class VectorizedRTLInjector:
                     scalar.append(index)
                 else:
                     out[index] = classification
-        for i in scalar:
-            out[i] = self._inject_scalar(prepared, faults[i], timeout)
+        for i, start in self._forks(prepared, faults, scalar):
+            out[i] = self._inject_scalar(prepared, faults[i], timeout,
+                                         start)
         return out  # type: ignore[return-value]
 
+    def _forks(self, prepared: PreparedWorkload,
+               faults: Sequence[FaultModel], indices: List[int],
+               ) -> Iterator[Tuple[int, Optional[SMCheckpoint]]]:
+        """Pair each scalar fallback with the checkpoint it forks from.
+
+        The faults are visited in activation-cycle order while one golden
+        walk on the scratch SM advances to the last loop boundary at or
+        before each activation cycle; only that boundary's checkpoint is
+        alive.  A fault active from cycle 0 gets ``None`` (a full
+        launch).
+        """
+        boundaries = prepared.recorder.boundaries
+        bench = prepared.bench
+        walk = None
+        at, checkpoint = -1, None
+        for i in sorted(indices, key=lambda i: faults[i].cycle):
+            cycle = faults[i].cycle
+            if cycle == 0:
+                yield i, None
+                continue
+            target = bisect_right(boundaries, cycle) - 1
+            if target != at:
+                if walk is None:
+                    walk = self._scratch.walk(
+                        bench.program, bench.n_threads,
+                        memory_image=bench.memory_image,
+                        initial_registers=bench.initial_registers)
+                for _ in range(target - at):
+                    next(walk)
+                at, checkpoint = target, self._scratch.checkpoint()
+            yield i, checkpoint
+
     def _inject_scalar(self, prepared: PreparedWorkload,
-                       fault: FaultModel,
-                       timeout: Optional[float]) -> RunClassification:
+                       fault: FaultModel, timeout: Optional[float],
+                       start: Optional[SMCheckpoint]) -> RunClassification:
         try:
             with wall_clock_limit(timeout):
                 return self.injector.inject(prepared.bench,
-                                            prepared.golden, fault)
+                                            prepared.golden, fault,
+                                            start=start)
         except UnitTimeout:
             return RunClassification(
                 Outcome.DUE,

@@ -6,7 +6,9 @@ Endpoints (all JSON unless noted):
   "params": {...}, "priority": 0}``; parameters are validated up front
   (400 on error), a saturated queue answers 429 when the daemon was
   started with a queue-depth limit, and a coordinator without a
-  scheduler answers 422 to jobs no worker can claim.
+  scheduler answers 422 to jobs no worker can claim.  A daemon that
+  runs jobs itself answers 422 to a ``timeout`` on a ``jobs=1`` job:
+  its scheduler thread cannot enforce it.
 * ``GET /jobs`` (``?state=queued|running|done|failed|cancelled``) —
   list jobs.
 * ``GET /jobs/<id>`` — one job, plus ``telemetry``: the live
@@ -146,6 +148,16 @@ class CampaignService:
                      f"and empty campaigns run only on a daemon's own "
                      f"scheduler, and this one was started with "
                      f"--no-scheduler")
+        if (self.scheduler.execute_jobs and params["timeout"] is not None
+                and params["jobs"] < 2):
+            # the wall-clock guard is a SIGALRM timer, which only the
+            # main thread can take; pool processes and remote workers
+            # run units on theirs
+            raise ApiError(
+                422, "this daemon would run the job in-process on its "
+                     "scheduler thread, where a timeout cannot be "
+                     "enforced; set jobs >= 2 or submit to a "
+                     "--no-scheduler coordinator whose workers run it")
         if self.max_queue_depth is not None:
             depth = self.store.count_states()["queued"]
             if depth >= self.max_queue_depth:

@@ -171,3 +171,52 @@ class TestFaultsThroughSm:
                            max_cycles=5000)
         # base 0 -> 64: every thread id is out of range, no output written
         assert result.memory.read_words(0x300, 8) == [0] * 8
+
+
+class TestCheckpointResume:
+    """A fault-free run resumed from any dispatch-loop boundary equals
+    the straight launch: the checkpoint holds the whole run state."""
+
+    def _program(self):
+        b = ProgramBuilder("resume")
+        b.gld(2, 0, offset=0x100)
+        b.sst(0, 2)                      # stage into shared memory
+        b.bar()
+        b.mov(1, b.imm(0))
+        b.label("top")
+        b.iadd(1, 1, b.imm(1))
+        b.sld(3, 1)                      # another thread's staged word
+        b.iadd(2, 2, 3)
+        b.iset(Predicate(0), 1, b.imm(3), CompareOp.LT)
+        b.bra("top", predicate=Predicate(0))
+        b.iset(Predicate(1), 0, b.imm(20), CompareOp.GE)
+        b.gst(0, 2, offset=0x300)
+        b.exit()
+        return b.build()
+
+    def test_resume_from_every_boundary(self):
+        program = self._program()
+        n_threads = 40  # two warps, the tail warp trimmed to 8 threads
+        image = {0x100: list(range(7, 7 + n_threads))}
+        straight = StreamingMultiprocessor().launch(
+            program, n_threads, memory_image=image, trace=True)
+        walker = StreamingMultiprocessor()
+        resumer = StreamingMultiprocessor()
+        boundaries = []
+        for cycle in walker.walk(program, n_threads, memory_image=image):
+            checkpoint = walker.checkpoint()
+            assert checkpoint.cycle == cycle
+            resumed = resumer.launch(program, n_threads, memory_image=image,
+                                     trace=True, start=checkpoint)
+            assert resumed.cycles == straight.cycles
+            # the same dispatch schedule: warp order, PCs and cycles
+            assert resumed.trace == [e for e in straight.trace
+                                     if e.cycle >= cycle]
+            assert resumed.memory.snapshot() == straight.memory.snapshot()
+            # general-purpose registers and predicates
+            assert (resumed.registers.snapshot()
+                    == straight.registers.snapshot())
+            boundaries.append(cycle)
+        assert boundaries == sorted(set(boundaries))
+        # the barrier release is an iteration that dispatches no step
+        assert len(boundaries) == len(straight.trace) + 1

@@ -6,17 +6,20 @@ operands/results, branch votes, latch-schedule bisection), the
 recorder/fault mutual-exclusion guards, and the passive fast path: a
 golden run (no fault, no recorder) must never dispatch a single
 ``plane.latch`` call — including through the SFU controller, whose
-unconditional latching used to dominate golden wall-clock time.
+unconditional latching used to dominate golden wall-clock time.  A
+recorded pipeline bubble is one event that must answer every firing
+query exactly as one latch event per pipeline register would.
 """
 
 import pytest
 
 from repro.gpu.bits import float_to_bits
 from repro.gpu.fault_plane import TransientFault
-from repro.gpu.isa import CompareOp, Opcode
+from repro.gpu.isa import CHARACTERIZED_OPCODES, CompareOp, Opcode
 from repro.gpu.program import ProgramBuilder
 from repro.gpu.sm import StreamingMultiprocessor
 from repro.gpu.trace import GoldenTraceRecorder
+from repro.rtl import make_microbenchmark, make_tmxm_bench
 
 
 def _fadd_program():
@@ -123,6 +126,82 @@ class TestLatchSchedule:
     def test_unknown_key_never_fires(self):
         _, rec = self._recorded()
         assert rec.first_latch_at_or_after(("fp32", "no.such", 0), 0) is None
+
+
+class _PerRegisterBubbles(GoldenTraceRecorder):
+    """Reference recorder: each bubble is one latch event per register
+    of the module, the representation the one-event bubble replaced."""
+
+    def __init__(self, plane) -> None:
+        super().__init__()
+        self._plane = plane
+
+    def on_bubble(self, module: str, cycle: int) -> None:
+        for ff in self._plane.flipflops(module):
+            self.on_latch(module, ff.name, ff.lane, cycle)
+
+    def every_answer(self, key, horizon: int):
+        """``first_latch_at_or_after(key, c)`` for every ``c < horizon``,
+        built in one pass: the answer is the first event at or after
+        ``c``, constant between consecutive event cycles."""
+        answers, last = [], -1
+        for cycle, site in zip(self._event_cycles.get(key, ()),
+                               self._event_sites.get(key, ())):
+            if cycle > last:
+                answers += [(cycle, *site)] * (cycle - last)
+                last = cycle
+        return answers + [None] * (horizon - 1 - last)
+
+
+class TestBubbleEvents:
+    @pytest.mark.parametrize("bench", [
+        *(make_microbenchmark(op, "M", seed=3)
+          for op in CHARACTERIZED_OPCODES),
+        make_tmxm_bench("Random", seed=3),
+    ], ids=lambda bench: bench.name)
+    def test_same_firing_answers_as_per_register_bubbles(self, bench):
+        sm = StreamingMultiprocessor()
+        recorders = [GoldenTraceRecorder(), _PerRegisterBubbles(sm.plane)]
+        for rec in recorders:
+            sm.launch(bench.program, bench.n_threads,
+                      memory_image=bench.memory_image,
+                      initial_registers=bench.initial_registers,
+                      recorder=rec)
+        one_event, per_register = recorders
+        assert one_event._bubble_cycles and not per_register._bubble_cycles
+        horizon = one_event.total_cycles + 2
+        for ff in sm.plane.flipflops():
+            assert ([one_event.first_latch_at_or_after(ff.key, c)
+                     for c in range(horizon)]
+                    == per_register.every_answer(ff.key, horizon)), ff
+
+    def test_recorded_bubbles_skip_plane_latch(self, monkeypatch):
+        sm = StreamingMultiprocessor()
+        calls = {"bubbles": 0, "latches": 0}
+        in_bubble = []
+        latch_bubble, latch = sm.pipeline.latch_bubble, sm.plane.latch
+
+        def bubble():
+            calls["bubbles"] += 1
+            in_bubble.append(True)
+            try:
+                latch_bubble()
+            finally:
+                in_bubble.pop()
+
+        def counting_latch(*args, **kwargs):
+            calls["latches"] += bool(in_bubble)
+            return latch(*args, **kwargs)
+
+        monkeypatch.setattr(sm.pipeline, "latch_bubble", bubble)
+        monkeypatch.setattr(sm.plane, "latch", counting_latch)
+        rec = GoldenTraceRecorder()
+        sm.launch(_fadd_program(), 2,
+                  memory_image=_fadd_image([1.5, -2.0], [0.25, 8.0]),
+                  recorder=rec)
+        assert calls["bubbles"] > 0
+        assert calls["latches"] == 0
+        assert len(rec._bubble_cycles["pipeline"]) == calls["bubbles"]
 
 
 class TestGuards:

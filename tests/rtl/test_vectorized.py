@@ -7,22 +7,29 @@ campaign reports must match the one-simulation-per-fault path exactly.
 These tests pin that contract at three granularities — per fault, per
 campaign cell, and per grid (including the scalar-fallback modules) —
 plus the norm.shift propagation regression the scalar comparison relies
-on.
+on, and the golden-checkpoint forks the scalar fallbacks start from.
 """
 
 import pytest
 
 from repro.gpu.bits import float_to_bits
-from repro.gpu.fault_plane import FaultPlane, TransientFault
+from repro.gpu.fault_plane import (
+    FaultPlane,
+    StuckAtFault,
+    TargetedBurst,
+    TransientFault,
+)
 from repro.gpu.isa import Opcode
-from repro.gpu.sm import SMConfig
+from repro.gpu.sm import SMConfig, StreamingMultiprocessor
 from repro.gpu.trace import GoldenTraceRecorder
 from repro.rtl import (
     Outcome,
     RTLInjector,
     VectorizedRTLInjector,
     generate_fault_list,
+    generate_model_fault_list,
     make_microbenchmark,
+    make_tmxm_bench,
     run_campaign,
     run_grid,
 )
@@ -213,3 +220,150 @@ class TestNormShiftPropagation:
         for fault, vectorized in zip(faults, batch):
             scalar = injector.inject(bench, prepared.golden, fault)
             _same_classification(scalar, vectorized)
+
+
+def _forked_batch(monkeypatch, bench, make_faults):
+    """Run ``make_faults(plane, prepared)`` through ``inject_batch`` and
+    compare every fault with a full scalar run from cycle 0.
+
+    Returns ``(faults, batch, starts)``; ``starts`` maps the id of each
+    fault the batch handed to the scalar injector to its checkpoint.
+    """
+    injector = RTLInjector()
+    vec = VectorizedRTLInjector(injector)
+    prepared = vec.prepare(bench)
+    faults = make_faults(injector.plane, prepared)
+    starts = {}
+    inject = injector.inject
+
+    def spy(bench, golden, fault, start=None):
+        starts[id(fault)] = start
+        return inject(bench, golden, fault, start=start)
+
+    monkeypatch.setattr(injector, "inject", spy)
+    batch = vec.inject_batch(prepared, faults)
+    bookkeeping = [(f.fired_cycle, f.expired) for f in faults]
+    reference = RTLInjector()
+    for fault, vectorized, (fired_cycle, expired) in zip(faults, batch,
+                                                         bookkeeping):
+        scalar = reference.inject(bench, prepared.golden, fault)
+        _same_classification(scalar, vectorized)
+        assert fault.fired_cycle == fired_cycle
+        # trace-resolved unfired faults are marked expired even when the
+        # run ends before their deadline; the scalar path must match
+        if id(fault) in starts:
+            assert fault.expired == expired
+    return faults, batch, starts
+
+
+def _sampled(modules, n_transient, n_burst):
+    def make_faults(plane, prepared):
+        faults = []
+        for module in modules:
+            for model, n in (("transient", n_transient),
+                             ("burst", n_burst)):
+                faults += generate_model_fault_list(
+                    plane, module, n, prepared.golden.cycles, seed=13,
+                    fault_model=model)
+        return faults
+    return make_faults
+
+
+def _dispatches(bench):
+    """(boundary cycle, warp, pc) of every dispatched golden step."""
+    result = StreamingMultiprocessor().launch(
+        bench.program, bench.n_threads, memory_image=bench.memory_image,
+        initial_registers=bench.initial_registers, trace=True)
+    return [(e.cycle, e.warp_id, e.pc) for e in result.trace]
+
+
+class TestForkedFallbacks:
+    """Scalar fallbacks fork from the golden checkpoint at the last
+    dispatch-loop boundary at or before their activation cycle; each
+    must classify, and leave ``fired_cycle``/``expired``, exactly as a
+    full ``RTLInjector.inject`` run from cycle 0."""
+
+    @pytest.mark.parametrize("opcode,modules", [
+        (Opcode.FADD, ("scheduler", "pipeline")),
+        (Opcode.FSIN, ("sfu", "sfu_controller")),
+    ])
+    def test_micro_benchmark_control_cells(self, monkeypatch, opcode,
+                                           modules):
+        bench = make_microbenchmark(opcode, "M", seed=5)
+        faults, batch, starts = _forked_batch(
+            monkeypatch, bench, _sampled(modules, 16, 8))
+        forked = [f for f in faults if starts.get(id(f)) is not None]
+        assert {f.flipflop.module for f in forked} == set(modules)
+        assert any(isinstance(f, TargetedBurst) for f in forked)
+        assert all(starts[id(f)].cycle <= f.cycle for f in forked)
+
+    @pytest.mark.parametrize("use_shared_memory", [False, True])
+    def test_tmxm_tiles(self, monkeypatch, use_shared_memory):
+        # the shared-memory variant has a barrier: its release is a
+        # loop iteration that dispatches no step
+        bench = make_tmxm_bench("Random", seed=1,
+                                use_shared_memory=use_shared_memory)
+        faults, batch, starts = _forked_batch(
+            monkeypatch, bench, _sampled(("scheduler", "pipeline"), 6, 3))
+        assert [f for f in faults if starts.get(id(f)) is not None]
+        assert {c.outcome for c in batch} - {Outcome.MASKED}
+
+    def test_every_due_kind_and_the_edge_activations(self, monkeypatch):
+        bench = make_tmxm_bench("Random", seed=1, use_shared_memory=True)
+        dispatches = _dispatches(bench)
+        fetch = SMConfig().fetch_ticks
+        barrier = next(pc for pc in range(len(bench.program))
+                       if bench.program[pc].opcode is Opcode.BAR)
+        # decode latches of steps dispatched after the barrier release
+        late = [(cycle + fetch, pc) for cycle, _, pc in dispatches
+                if pc > barrier]
+        sld = next(c for c, pc in late
+                   if bench.program[pc].opcode is Opcode.SLD)
+        boundary = late[5][0] - fetch
+
+        def make_faults(plane, prepared):
+            ff = {f.key: f for f in plane.flipflops()}
+            assert boundary in prepared.recorder.boundaries
+            return [
+                TransientFault(ff["pipeline", "de.opcode", -1], 7,
+                               late[3][0]),
+                TransientFault(ff["pipeline", "de.dest", -1], 6,
+                               late[4][0]),
+                TransientFault(ff["pipeline", "de.imm", -1], 20, sld),
+                # activates exactly at a boundary: forked from there
+                TransientFault(ff["scheduler", "warp.pc", 0], 11,
+                               boundary, window=4),
+                # active from power-on: keeps the full launch
+                StuckAtFault(ff["scheduler", "warp.thread_base", 1], 3,
+                             stuck_at=1, cycle=0),
+            ]
+
+        faults, batch, starts = _forked_batch(monkeypatch, bench,
+                                              make_faults)
+        reasons = [c.due_reason.split(":")[0] for c in batch[:4]]
+        assert reasons == ["IllegalInstructionError", "RegisterFaultError",
+                           "MemoryFaultError", "InvalidProgramCounterError"]
+        assert starts[id(faults[3])].cycle == boundary
+        assert all(starts[id(f)].cycle < f.cycle for f in faults[:3])
+        assert starts[id(faults[4])] is None
+
+    def test_watchdog_hang(self, monkeypatch):
+        bench = make_microbenchmark(Opcode.BRA, "M", seed=5)
+        branch = next(pc for pc in range(len(bench.program))
+                      if bench.program[pc].opcode is Opcode.BRA)
+        taken = bench.program.resolve(bench.program[branch].target)
+        # a stuck branch target that points back above the branch loops
+        # forever: clear the bits that lift it past the predicate set-up
+        bit = 1
+        assert (taken & ~(0b11 << bit)) < branch
+
+        def make_faults(plane, prepared):
+            ff = {f.key: f for f in plane.flipflops()}
+            return [StuckAtFault(ff["pipeline", "de.branch_target", -1],
+                                 bit, stuck_at=0, n_bits=2,
+                                 cycle=prepared.recorder.boundaries[2])]
+
+        faults, batch, starts = _forked_batch(monkeypatch, bench,
+                                              make_faults)
+        assert "watchdog expired" in batch[0].due_reason
+        assert starts[id(faults[0])].cycle == faults[0].cycle

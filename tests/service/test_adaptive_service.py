@@ -2,11 +2,12 @@
 
 The moving-horizon protocol under test: an adaptive job's shard table
 starts at the warm-up horizon; when the last planned shard lands the
-daemon replays the journal through :func:`next_horizon`, extends the
-table, and the job keeps running until the replayed decision is
-"stop".  The merged result must be bit-identical to the in-process
-adaptive runner — same report bytes, same per-cell decision record,
-same round count.
+daemon replays the journal through the job spec's
+:class:`~repro.adaptive.AdaptiveController` (``replay`` →
+``planned_units``), extends the table, and the job keeps running until
+the replayed decision is "stop".  The merged result must be
+bit-identical to the in-process adaptive runner — same report bytes,
+same per-cell decision record, same round count.
 """
 
 import json

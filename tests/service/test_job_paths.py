@@ -136,3 +136,45 @@ class TestCoordinatorOnlySubmit:
             client = ServiceClient(daemon.url, timeout=30.0)
             with pytest.raises(ServiceError, match=r"\(422\).*pipeline"):
                 client.submit("pipeline")
+
+    def test_coordinators_accept_a_timeout(self, service):
+        # workers run their units on their main thread, where the
+        # wall-clock guard fires
+        for kind, params in JOBS.values():
+            service.submit({"kind": kind,
+                            "params": dict(params, timeout=5)})
+        assert len(service.store.list_jobs()) == len(JOBS)
+
+
+class TestUnenforceableTimeout:
+    """A daemon runs ``jobs=1`` jobs on its scheduler thread, where the
+    SIGALRM wall-clock guard is a no-op: it must refuse their
+    ``timeout`` rather than accept it silently."""
+
+    @pytest.fixture
+    def service(self, tmp_path):
+        store = JobStore(tmp_path / "jobs.sqlite3")
+        return CampaignService(store, Scheduler(store, tmp_path))
+
+    @pytest.mark.parametrize("kind,params", [
+        JOBS["pvf"], JOBS["rtl-transient"], ("pipeline", {})])
+    def test_in_process_timeout_is_refused(self, service, kind, params):
+        with pytest.raises(ApiError, match="cannot be enforced") as caught:
+            service.submit({"kind": kind,
+                            "params": dict(params, timeout=5)})
+        assert caught.value.status == 422
+        assert service.store.list_jobs() == []
+
+    def test_pool_jobs_keep_their_timeout(self, service):
+        job = service.submit({"kind": "pvf",
+                              "params": {"app": "MxM", "timeout": 5,
+                                         "jobs": 2}})
+        assert job["params"]["timeout"] == 5
+
+    def test_http_answer_names_the_reason(self, tmp_path):
+        with ServiceDaemon(tmp_path / "svc", port=0, quiet=True) as daemon:
+            client = ServiceClient(daemon.url, timeout=30.0)
+            with pytest.raises(ServiceError,
+                               match=r"\(422\).*cannot be enforced"):
+                client.submit("pvf", app="MxM", injections=4, timeout=5)
+            assert client.jobs() == []
