@@ -91,6 +91,12 @@ class BudgetExceeded(ServiceError):
     requeue will resume it.
     """
 
+    @classmethod
+    def for_job(cls, job_id: int, budget: float) -> "BudgetExceeded":
+        return cls(f"job {job_id} exceeded its wall-clock budget of "
+                   f"{budget:g}s; completed units are journaled — "
+                   f"requeue to continue")
+
 
 class SyndromeDatabaseError(ReproError):
     """The syndrome database is missing, malformed, or lacks an entry."""

@@ -25,8 +25,9 @@ batch:
    armed (the unit registers latch exactly once per op, pinning the
    firing to a unique invocation).  After the fire, clean lanes reuse
    recorded golden results; *dirty* lanes — operands that differ from
-   the recording — are recomputed with :mod:`repro.gpu.vector` numpy
-   kernels (scalar unit fallback for FFMA).
+   the recording — are recomputed row by row on the passive scratch
+   SM's own scalar units (:func:`vector_compute`), so they match the
+   scalar run bit for bit by construction.
 4. **Divergence ejects to the scalar path.**  Anything the lockstep
    replay cannot express — a predicate vote that changes control flow, a
    predicate activating a lane the golden run never executed, a fired
@@ -61,7 +62,6 @@ from ..gpu.fault_plane import FaultModel, FaultPlane, TransientFault
 from ..gpu.isa import Opcode
 from ..gpu.sm import SMCheckpoint, StreamingMultiprocessor
 from ..gpu.trace import GoldenTraceRecorder
-from ..gpu.vector import vector_compute
 from .classify import Outcome, RunClassification, classify_run
 from .injector import GoldenRun, RTLInjector
 from .microbench import Microbenchmark
@@ -86,6 +86,27 @@ _MEM_OPS = frozenset({Opcode.GLD, Opcode.GST, Opcode.SLD, Opcode.SST})
 _SFU_OPS = frozenset({Opcode.FSIN, Opcode.FEXP, Opcode.RCP})
 _CTRL_OPS = frozenset({Opcode.EXIT, Opcode.NOP, Opcode.BAR})
 _NO_REG = 0xFF
+
+
+def vector_compute(scratch: StreamingMultiprocessor, opcode: Opcode, ctrl,
+                   lane: int, a: np.ndarray, b: np.ndarray,
+                   c: np.ndarray) -> np.ndarray:
+    """Golden-mode results for one lane's dirty operand columns.
+
+    Row ``i`` of ``a``/``b``/``c`` is one universe's operand triple; each
+    is re-executed on the passive *scratch* SM with the unit the scalar
+    run uses — ``_compute_lane`` for ALU and FFMA ops, the SFU datapath
+    for FSIN/FEXP/RCP (controller routing stays golden: controller
+    faults never reach replay).
+    """
+    if opcode in _SFU_OPS:
+        sfu = scratch.sfu.units[0]
+        values = (sfu.compute(opcode, int(x)) for x in a)
+    else:
+        values = (scratch._compute_lane(opcode, ctrl, lane, int(x), int(y),
+                                        int(z))
+                  for x, y, z in zip(a, b, c))
+    return np.fromiter(values, dtype=np.uint32, count=len(a))
 
 
 @dataclass
@@ -118,8 +139,8 @@ class VectorizedRTLInjector:
     def __init__(self, injector: Optional[RTLInjector] = None) -> None:
         self.injector = injector or RTLInjector()
         # scratch SM for single-op re-execution (fire-site corruption and
-        # dirty-lane ops without a numpy kernel: FFMA, SFU polynomials)
-        # and for the golden walk the scalar fallbacks fork from
+        # every dirty-lane recompute) and for the golden walk the scalar
+        # fallbacks fork from
         self._scratch = StreamingMultiprocessor(self.injector.sm.config)
 
     # -- golden capture ----------------------------------------------------
@@ -277,10 +298,9 @@ class VectorizedRTLInjector:
         """
         cfg = self.injector.sm.config
         bench = prepared.bench
-        precision = bench.program.float_precision
         # the scratch SM computes single ops without a launch, so the
         # float datapath is selected explicitly per workload
-        self._scratch.select_float_unit(precision)
+        self._scratch.select_float_unit(bench.program.float_precision)
         n_threads = bench.n_threads
         n_universes = len(block)
         regs = np.repeat(prepared.init_regs[None, :, :], n_universes,
@@ -337,13 +357,10 @@ class VectorizedRTLInjector:
                         else smem
                     self._replay_mem_beat(opcode, ctrl, beat_record, mem,
                                           regs, preds, rows, alive, due)
-                elif opcode in _SFU_OPS:
-                    self._replay_sfu_beat(opcode, ctrl, beat_record,
-                                          regs, preds, alive)
                 else:
-                    self._replay_alu_beat(opcode, ctrl, beat_record,
-                                          beat_fires, regs, preds, alive,
-                                          ejected, precision)
+                    self._replay_compute_beat(opcode, ctrl, beat_record,
+                                              beat_fires, regs, preds,
+                                              alive, ejected)
 
         results: List[Tuple[int, Optional[RunClassification]]] = []
         bases = [base for base, _ in bench.output_regions]
@@ -412,9 +429,10 @@ class VectorizedRTLInjector:
             return None
         return regs[:, tid, sel]
 
-    def _replay_alu_beat(self, opcode, ctrl, beat_record, beat_fires,
-                         regs, preds, alive, ejected,
-                         precision: str = "fp32") -> None:
+    def _replay_compute_beat(self, opcode, ctrl, beat_record, beat_fires,
+                             regs, preds, alive, ejected) -> None:
+        """ALU, FFMA and SFU beats: golden results, dirty lanes
+        recomputed, firing universes re-executed with their transient."""
         writebacks: List[Tuple[int, np.ndarray]] = []
         for lane, tid in enumerate(beat_record.lanes):
             if tid is None or not beat_record.group_mask >> lane & 1:
@@ -436,15 +454,8 @@ class VectorizedRTLInjector:
                                  dtype=np.uint32)
                     for src, column in enumerate(columns)
                 ]
-                vectored = vector_compute(opcode, ctrl.compare, *operands,
-                                          precision=precision)
-                if vectored is not None:
-                    result[dirty] = vectored
-                else:  # FFMA: no single-rounding numpy path
-                    for row, a, b, c in zip(np.nonzero(dirty)[0],
-                                            *operands):
-                        result[row] = self._scratch_compute(
-                            opcode, ctrl, lane, int(a), int(b), int(c))
+                result[dirty] = vector_compute(self._scratch, opcode, ctrl,
+                                               lane, *operands)
             for u, universe in beat_fires:
                 if universe.fault.flipflop.lane != lane or not alive[u]:
                     continue
@@ -496,28 +507,6 @@ class VectorizedRTLInjector:
             self._writeback(ctrl, beat_record, writebacks, regs, preds,
                             alive)
 
-    def _replay_sfu_beat(self, opcode, ctrl, beat_record, regs, preds,
-                         alive) -> None:
-        """SFU beats: golden results unless the input operand is dirty, in
-        which case the deterministic datapath recomputes it (controller
-        routing stays golden — controller faults never reach replay)."""
-        writebacks: List[Tuple[int, np.ndarray]] = []
-        datapath = self._scratch.sfu.units[0]
-        for lane, tid in enumerate(beat_record.lanes):
-            if tid is None or not beat_record.group_mask >> lane & 1:
-                continue
-            golden = beat_record.operands[lane]
-            column = self._operand_column(regs, tid, 0, ctrl)
-            result = np.full(alive.shape, beat_record.results[lane],
-                             dtype=np.uint32)
-            if column is not None:
-                dirty = alive & (column != np.uint32(golden[0]))
-                for u in np.nonzero(dirty)[0]:
-                    result[u] = np.uint32(
-                        datapath.compute(opcode, int(column[u])))
-            writebacks.append((lane, result))
-        self._writeback(ctrl, beat_record, writebacks, regs, preds, alive)
-
     @staticmethod
     def _writeback(ctrl, beat_record, writebacks, regs, preds,
                    alive) -> None:
@@ -532,11 +521,6 @@ class VectorizedRTLInjector:
                 regs[alive, tid, dest] = result[alive]
 
     # -- scratch single-op execution ---------------------------------------
-    def _scratch_compute(self, opcode, ctrl, lane: int, a: int, b: int,
-                         c: int) -> int:
-        """Golden-mode scalar recompute on the passive scratch SM."""
-        return self._scratch._compute_lane(opcode, ctrl, lane, a, b, c)
-
     def _scratch_fire(self, opcode, ctrl, universe: _Universe,
                       operands: Tuple[int, int, int]) -> Optional[int]:
         """Re-execute the firing op with the transient armed on the
@@ -549,8 +533,8 @@ class VectorizedRTLInjector:
         plane.arm(copy)
         try:
             a, b, c = operands
-            value = self._scratch_compute(opcode, ctrl,
-                                          fault.flipflop.lane, a, b, c)
+            value = self._scratch._compute_lane(opcode, ctrl,
+                                                fault.flipflop.lane, a, b, c)
         finally:
             plane.disarm()
         if not copy.fired:

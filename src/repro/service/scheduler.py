@@ -16,7 +16,8 @@ Three properties connect the service to the campaign engine:
   ``cancel_requested`` flag (and the job's wall-clock budget) between
   work units via the ``cancel=`` hook; a stop lands the job in
   ``cancelled`` (or ``failed`` for a blown budget) with all completed
-  units journaled.
+  units journaled.  A sharded job's budget is enforced by the store's
+  reaper instead (:meth:`~repro.service.store.JobStore.reap`).
 * **Bit-identical results** — execution goes through the exact same
   campaign specs the synchronous CLI runs, with the same seed-indexed
   batch plan, so a job's merged report equals the direct
@@ -45,7 +46,7 @@ from .store import Job, JobStore
 
 __all__ = ["JOB_KINDS", "Scheduler", "execute_job",
            "finalize_sharded_job", "job_spec", "normalize_params",
-           "open_shard_journal", "plan_job_units", "run_job_units"]
+           "plan_job_units", "run_job_units"]
 
 #: The campaign shapes the service runs.
 JOB_KINDS = ("pvf", "rtl", "pipeline")
@@ -591,17 +592,6 @@ def run_job_units(kind: str, params: dict, lo: int, hi: int,
     return {index: report.to_dict() for index, report in done.items()}
 
 
-def open_shard_journal(job: Job, jobdir: Union[str, Path]
-                       ) -> CampaignCheckpoint:
-    """Open (resuming if present) a sharded job's unit journal.
-
-    Same path and header as the in-process run's checkpoint, so a job
-    can move freely between sharded and in-process execution across
-    requeues and always resume from the units already delivered.
-    """
-    return spec_journal(job_spec(job.kind, job.params), jobdir)
-
-
 def finalize_sharded_job(store: JobStore, job: Job,
                          jobdir: Union[str, Path]) -> Job:
     """Merge a sharded job's journaled units into its final result.
@@ -704,10 +694,7 @@ def execute_job(job: Job, jobdir: Union[str, Path],
             result = _job_result(params, spec, results, controller, jobdir)
     except CampaignCancelled as exc:
         if state["why"] == "budget":
-            raise BudgetExceeded(
-                f"job {job.id} exceeded its wall-clock budget of "
-                f"{budget:g}s; completed units are journaled — requeue "
-                f"to continue") from exc
+            raise BudgetExceeded.for_job(job.id, budget) from exc
         raise
     finally:
         if metrics is not None:

@@ -48,7 +48,7 @@ from typing import (
     Union,
 )
 
-from ..errors import ServiceError
+from ..errors import BudgetExceeded, ServiceError
 
 __all__ = ["Job", "JobStore", "JOB_STATES", "SHARD_STATES",
            "TERMINAL_STATES"]
@@ -377,11 +377,13 @@ class JobStore:
 
     # -- lease reaping -------------------------------------------------------
     def reap(self, now: Optional[float] = None) -> Dict[str, list]:
-        """Re-queue every expired lease; settle cancelled sharded jobs.
+        """Re-queue every expired lease; settle cancelled sharded jobs;
+        fail sharded jobs past their wall-clock ``budget``.
 
         Returns ``{"jobs": [...], "shards": [(job_id, lo), ...],
-        "cancelled": [...]}`` naming what changed, so callers can log
-        the takeover.  Safe to call from any thread at any time.
+        "cancelled": [...], "failed": [...]}`` naming what changed, so
+        callers can log the takeover.  Safe to call from any thread at
+        any time.
         """
         with self._connect() as conn:
             conn.execute("BEGIN IMMEDIATE")
@@ -421,7 +423,30 @@ class JobStore:
                     "UPDATE jobs SET state = 'queued', "
                     "started_at = NULL, worker = NULL, "
                     "lease_expires_at = NULL WHERE id = ?", (row["id"],))
-        # 3. cancelled sharded jobs whose workers have all let go: the
+        # 3. sharded jobs past their budget (in-process runs enforce
+        # their own): fail them and dissolve their shard leases, so each
+        # worker's next heartbeat stops it; done shards stay journaled
+        failed = []
+        rows = conn.execute(
+            "SELECT id, params, started_at FROM jobs "
+            "WHERE state = 'running' AND started_at IS NOT NULL "
+            "AND EXISTS (SELECT 1 FROM shards "
+            "            WHERE shards.job_id = jobs.id)").fetchall()
+        for row in rows:
+            budget = json.loads(row["params"]).get("budget")
+            if budget is None or now - row["started_at"] <= budget:
+                continue
+            failed.append(int(row["id"]))
+            conn.execute(
+                "UPDATE jobs SET state = 'failed', finished_at = ?, "
+                "error = ? WHERE id = ?",
+                (now, str(BudgetExceeded.for_job(row["id"], budget)),
+                 row["id"]))
+            conn.execute(
+                "UPDATE shards SET state = 'queued', worker = NULL, "
+                "lease_expires_at = NULL WHERE job_id = ? "
+                "AND state = 'leased'", (row["id"],))
+        # 4. cancelled sharded jobs whose workers have all let go: the
         # job can settle once no shard lease is live and work remains
         rows = conn.execute(
             "SELECT id FROM jobs WHERE state = 'running' "
@@ -440,7 +465,7 @@ class JobStore:
                 (now, "cancelled between work units; completed units "
                       "are journaled — requeue to continue", row["id"]))
         return {"jobs": requeued, "shards": released,
-                "cancelled": cancelled}
+                "cancelled": cancelled, "failed": failed}
 
     # -- shard claiming ------------------------------------------------------
     def claim_shard(self, worker: str, lease_seconds: float,

@@ -1,8 +1,9 @@
 """The engine invariant over campaign specs, as a property.
 
-Whatever the batch size, however the plan is cut into worker shards and
-wherever a journaled run was killed, the merged reports serialise to
-the bytes of one uninterrupted run of the same spec.
+Whatever the batch size, however the plan is cut into worker shards,
+wherever a journaled run was killed and however many processes resume
+it, the merged reports serialise to the bytes of one uninterrupted run
+of the same spec.
 """
 
 import json
@@ -70,10 +71,12 @@ def test_shards_and_resume_merge_to_the_one_shot_bytes(level, batch_size,
             sharded.update(spec.run(lo, hi))
         assert _bytes(spec, sharded) == expected
 
-        # a run killed after k journaled units resumes to the same bytes
+        # a run killed after k journaled units resumes to the same bytes,
+        # serially or on a process pool
         k = data.draw(st.integers(0, n_units), label="journaled units")
+        n_jobs = data.draw(st.sampled_from([1, 2]), label="n_jobs")
         lines = journal.read_text().splitlines()
         journal.write_text("\n".join(lines[:1 + k]) + "\n")
-        resumed = spec.run(checkpoint=journal, resume=True)
+        resumed = spec.run(checkpoint=journal, resume=True, n_jobs=n_jobs)
         assert _bytes(spec, resumed) == expected
         assert len(journal.read_text().splitlines()) == 1 + n_units

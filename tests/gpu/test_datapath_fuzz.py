@@ -15,10 +15,10 @@ Oracles pin the golden-mode datapath semantics per float format:
   one, which is exactly why the fused path deserves its own oracle;
 * ``IntUnit`` ops against wrapping numpy ``uint32`` arithmetic.
 
-The same operand streams then validate the vectorized numpy kernels
-(:mod:`repro.gpu.vector`) element-by-element against the scalar units —
-the bit-identity contract the fault-parallel replay engine relies on
-for dirty-lane recomputation.
+The fault-parallel replay engine recomputes dirty lanes on these same
+scalar units (:func:`repro.rtl.vectorized.vector_compute`), so the
+oracles here pin the replay datapath too; its equivalence with the
+scalar injector is tested end to end in ``tests/rtl/test_vectorized.py``.
 
 Operands are raw bit patterns with a forced share of specials
 (Inf/NaN exponents, denormals, zeros), not just well-behaved floats.
@@ -32,8 +32,7 @@ from repro.gpu.bits import float_to_bits
 from repro.gpu.fault_plane import FaultPlane
 from repro.gpu.fp32 import BF16Unit, FP16Unit, FP32Unit
 from repro.gpu.intu import IntUnit
-from repro.gpu.isa import CompareOp, Opcode
-from repro.gpu.vector import VECTOR_OPCODES, vector_compute
+from repro.gpu.isa import Opcode
 
 N_CASES = 2500
 _QNAN = 0x7FC00000
@@ -219,85 +218,6 @@ class TestIntDifferentialFuzz:
                 assert intu.lop(lop.upper(), x, y, 0) == int(refs[lop][i])
 
 
-class TestVectorKernelsMatchScalarUnits:
-    """The vector kernels must be bit-identical to the scalar units —
-    the replay engine substitutes one for the other on dirty lanes."""
-
-    def test_fadd_fmul_elementwise(self):
-        fp32, _ = _units()
-        a, b = _operands(51), _operands(52)
-        for op, fn in ((Opcode.FADD, fp32.fadd), (Opcode.FMUL, fp32.fmul)):
-            vec = vector_compute(op, None, a, b, b)
-            for i in range(N_CASES):
-                assert fn(int(a[i]), int(b[i]), 0) == int(vec[i]), \
-                    f"{op} diverges at {int(a[i]):#010x}, {int(b[i]):#010x}"
-
-    def test_int_ops_elementwise(self):
-        _, intu = _units()
-        a, b, c = _operands(61), _operands(62), _operands(63)
-        scalar = {
-            Opcode.IADD: lambda x, y, z: intu.iadd(x, y, 0),
-            Opcode.IMUL: lambda x, y, z: intu.imul(x, y, 0),
-            Opcode.IMAD: lambda x, y, z: intu.imad(x, y, z, 0),
-            Opcode.SHL: lambda x, y, z: intu.shl(x, y, 0),
-            Opcode.SHR: lambda x, y, z: intu.shr(x, y, 0),
-            Opcode.LOP_AND: lambda x, y, z: intu.lop("AND", x, y, 0),
-            Opcode.LOP_OR: lambda x, y, z: intu.lop("OR", x, y, 0),
-            Opcode.LOP_XOR: lambda x, y, z: intu.lop("XOR", x, y, 0),
-        }
-        for op, fn in scalar.items():
-            vec = vector_compute(op, None, a, b, c)
-            for i in range(0, N_CASES, 3):
-                assert fn(int(a[i]), int(b[i]), int(c[i])) == int(vec[i])
-
-    def test_mov_iset_f2i_i2f_elementwise(self):
-        a, b = _operands(71), _operands(72)
-        mov = vector_compute(Opcode.MOV, None, a, b, b)
-        assert (mov == a).all()
-        for compare in CompareOp:
-            vec = vector_compute(Opcode.ISET, compare, a, b, b)
-            ai = a.view(np.int32)
-            bi = b.view(np.int32)
-            for i in range(0, N_CASES, 5):
-                want = {
-                    CompareOp.EQ: ai[i] == bi[i],
-                    CompareOp.NE: ai[i] != bi[i],
-                    CompareOp.LT: ai[i] < bi[i],
-                    CompareOp.LE: ai[i] <= bi[i],
-                    CompareOp.GT: ai[i] > bi[i],
-                    CompareOp.GE: ai[i] >= bi[i],
-                }[compare]
-                assert int(vec[i]) == int(want)
-        # F2I: scalar SM semantics (trunc toward zero, saturate to
-        # 0x80000000 on NaN / |v| >= 2^31); I2F: int32 -> float32 RNE
-        edge = np.array([
-            float_to_bits(float("nan")), float_to_bits(float("inf")),
-            float_to_bits(float("-inf")), float_to_bits(2.0**31),
-            float_to_bits(-2.0**31), float_to_bits(2.0**31 - 128),
-            float_to_bits(-0.0), float_to_bits(0.5), float_to_bits(-1.5),
-        ], dtype=np.uint32)
-        stream = np.concatenate([a, edge])
-        f2i = vector_compute(Opcode.F2I, None, stream, stream, stream)
-        i2f = vector_compute(Opcode.I2F, None, stream, stream, stream)
-        for i in range(len(stream)):
-            bits = int(stream[i])
-            fval = float(np.uint32(bits).view(np.float32))
-            if fval != fval or abs(fval) >= 2**31:
-                want_f2i = 0x80000000
-            else:
-                want_f2i = int(fval) & 0xFFFFFFFF
-            assert int(f2i[i]) == want_f2i, f"F2I({bits:#010x})"
-            signed = bits - (1 << 32) if bits & _SIGN else bits
-            assert int(i2f[i]) == float_to_bits(float(np.float32(signed)))
-
-    def test_unsupported_opcodes_return_none(self):
-        a = _operands(81, 8)
-        for op in (Opcode.FFMA, Opcode.GLD, Opcode.GST, Opcode.FSIN,
-                   Opcode.RCP, Opcode.BRA):
-            assert op not in VECTOR_OPCODES
-            assert vector_compute(op, None, a, a, a) is None
-
-
 class TestFfmaSpecialCases:
     """Pinned FFMA special-value semantics (the collapsed dead branch in
     ``_fma_special`` made ``c_exp == 0`` addends take the fused path)."""
@@ -459,43 +379,3 @@ class TestBf16DifferentialFuzz:
         assert unit.fadd(0x0001, 0x8001, 0) == 0x0000  # denorm FTZ in
         assert unit.fmul(0x0080, 0x3F00, 0) == 0x0000  # underflow FTZ out
         assert unit.fmul(0x7F7F, 0x7F7F, 0) == 0x7F80  # overflow -> Inf
-
-
-class TestReducedPrecisionVectorKernels:
-    """fp16/bf16 vector kernels vs scalar units, including the low-16
-    convention: upper bits of the universe word must be ignored by both."""
-
-    def test_fp16_elementwise(self):
-        unit = FP16Unit(FaultPlane(), 8)
-        rng = np.random.default_rng(111)
-        upper = rng.integers(0, 1 << 16, size=N_CASES, dtype=np.uint32)
-        a = _operands16(112, 0x7C00) | (upper << np.uint32(16))
-        b = _operands16(113, 0x7C00)
-        for op, fn in ((Opcode.FADD, unit.fadd), (Opcode.FMUL, unit.fmul)):
-            vec = vector_compute(op, None, a, b, b, precision="fp16")
-            for i in range(N_CASES):
-                assert fn(int(a[i]), int(b[i]), 0) == int(vec[i]), \
-                    f"fp16 {op} diverges at {int(a[i]):#010x}, " \
-                    f"{int(b[i]):#06x}"
-
-    def test_bf16_elementwise(self):
-        unit = BF16Unit(FaultPlane(), 8)
-        rng = np.random.default_rng(121)
-        upper = rng.integers(0, 1 << 16, size=N_CASES, dtype=np.uint32)
-        a = _operands16(122, 0x7F80) | (upper << np.uint32(16))
-        b = _operands16(123, 0x7F80)
-        for op, fn in ((Opcode.FADD, unit.fadd), (Opcode.FMUL, unit.fmul)):
-            vec = vector_compute(op, None, a, b, b, precision="bf16")
-            for i in range(N_CASES):
-                assert fn(int(a[i]), int(b[i]), 0) == int(vec[i]), \
-                    f"bf16 {op} diverges at {int(a[i]):#010x}, " \
-                    f"{int(b[i]):#06x}"
-
-    def test_unknown_precision_rejected(self):
-        a = _operands16(131, 0x7C00, 4)
-        try:
-            vector_compute(Opcode.FADD, None, a, a, a, precision="fp8")
-        except ValueError:
-            pass
-        else:
-            raise AssertionError("fp8 should be rejected")

@@ -7,7 +7,8 @@ campaign reports must match the one-simulation-per-fault path exactly.
 These tests pin that contract at three granularities — per fault, per
 campaign cell, and per grid (including the scalar-fallback modules) —
 plus the norm.shift propagation regression the scalar comparison relies
-on, and the golden-checkpoint forks the scalar fallbacks start from.
+on, the dirty-lane recomputes that follow a fired fault, and the
+golden-checkpoint forks the scalar fallbacks start from.
 """
 
 import pytest
@@ -20,6 +21,7 @@ from repro.gpu.fault_plane import (
     TransientFault,
 )
 from repro.gpu.isa import Opcode
+from repro.gpu.program import ProgramBuilder
 from repro.gpu.sm import SMConfig, StreamingMultiprocessor
 from repro.gpu.trace import GoldenTraceRecorder
 from repro.rtl import (
@@ -32,8 +34,10 @@ from repro.rtl import (
     make_tmxm_bench,
     run_campaign,
     run_grid,
+    run_tmxm_grid,
 )
-from repro.rtl.vectorized import REPLAY_MODULES
+from repro.rtl.microbench import Microbenchmark
+from repro.rtl.vectorized import REPLAY_MODULES, vector_compute
 
 
 def _same_classification(scalar, vectorized):
@@ -44,6 +48,45 @@ def _same_classification(scalar, vectorized):
             for c in vectorized.corrupted] == \
         [(c.thread, c.address, c.golden_bits, c.faulty_bits)
          for c in scalar.corrupted]
+
+
+def _count_recomputes(monkeypatch):
+    """Record every dirty-lane recompute, so a comparison cannot pass
+    without exercising them."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return vector_compute(*args, **kwargs)
+
+    monkeypatch.setattr("repro.rtl.vectorized.vector_compute", spy)
+    return calls
+
+
+def _fmul_sfu_fadd_bench(n_threads=64):
+    """``FMUL`` feeds ``FSIN`` and ``FEXP``, whose results feed ``FADD``.
+
+    Operands in [0.5, 1.2] keep the product inside both SFU input ranges.
+    """
+    b = ProgramBuilder("fmul_sfu_fadd")
+    b.gld(2, 0, offset=0x100)
+    b.gld(3, 0, offset=0x200)
+    b.fmul(4, 2, 3)
+    b.fsin(5, 4)
+    b.fexp(6, 4)
+    b.fadd(7, 5, 6)
+    b.gst(0, 7, offset=0x300)
+    b.exit()
+    operands = [0.5 + 0.7 * ((37 * i) % n_threads) / n_threads
+                for i in range(2 * n_threads)]
+    return Microbenchmark(
+        name="fmul_sfu_fadd", opcode=Opcode.FMUL, input_range="M",
+        program=b.build(),
+        memory_image={
+            0x100: tuple(float_to_bits(v) for v in operands[:n_threads]),
+            0x200: tuple(float_to_bits(v) for v in operands[n_threads:])},
+        output_regions=((0x300, n_threads),), value_kind="f32",
+        n_threads=n_threads)
 
 
 class TestPerFaultEquivalence:
@@ -73,6 +116,28 @@ class TestPerFaultEquivalence:
         assert outcomes - {Outcome.MASKED}, \
             f"fault sample for {opcode}/{module} never propagated"
 
+    def test_dirty_sfu_and_fadd_lanes_match_scalar_injector(
+            self, monkeypatch):
+        # a transient in every fp32 register at its first latch: those
+        # the FMUL latches leave dirty FSIN, FEXP and FADD operands
+        injector = RTLInjector()
+        vec = VectorizedRTLInjector(injector)
+        bench = _fmul_sfu_fadd_bench()
+        prepared = vec.prepare(bench)
+        faults = []
+        for i, ff in enumerate(injector.plane.flipflops("fp32")):
+            site = prepared.recorder.first_latch_at_or_after(ff.key, 0)
+            if site is not None:
+                faults.append(TransientFault(ff, bit=7 * i % ff.width,
+                                             cycle=site[0], window=1))
+        recomputes = _count_recomputes(monkeypatch)
+        batch = vec.inject_batch(prepared, faults)
+        assert recomputes
+        for fault, vectorized in zip(faults, batch):
+            scalar = injector.inject(bench, prepared.golden, fault)
+            _same_classification(scalar, vectorized)
+        assert {c.outcome for c in batch} - {Outcome.MASKED}
+
     def test_unfired_fault_is_instantly_masked(self):
         injector = RTLInjector()
         vec = VectorizedRTLInjector(injector)
@@ -101,6 +166,21 @@ class TestCampaignEquivalence:
             "the grid must include scalar-fallback (control) modules"
         assert [r.to_dict() for r in vectorized] == \
             [r.to_dict() for r in scalar]
+        assert [r.to_json() for r in vectorized] == \
+            [r.to_json() for r in scalar]
+
+    @pytest.mark.parametrize("use_shared_memory", [False, True])
+    def test_tmxm_fu_cell_recomputes_dirty_lanes_bit_identically(
+            self, monkeypatch, use_shared_memory):
+        # a fired int fault corrupts tile index arithmetic, leaving dirty
+        # IADD, ISET and FFMA lanes downstream of the fire
+        kwargs = dict(tile_kinds=("Random",), modules=("int",),
+                      n_faults=150, seed=1,
+                      use_shared_memory=use_shared_memory)
+        scalar = run_tmxm_grid(vectorize=False, **kwargs)
+        recomputes = _count_recomputes(monkeypatch)
+        vectorized = run_tmxm_grid(vectorize="auto", **kwargs)
+        assert recomputes
         assert [r.to_json() for r in vectorized] == \
             [r.to_json() for r in scalar]
 

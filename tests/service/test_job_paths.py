@@ -10,6 +10,7 @@ shard loop keeps claiming until the coordinator hands out no more work.
 """
 
 import json
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.errors import ServiceError
 from repro.service import (
     ApiError,
     CampaignService,
+    CampaignWorker,
     JobStore,
     Scheduler,
     ServiceClient,
@@ -95,6 +97,62 @@ def test_in_process_and_sharded_runs_write_the_same_bytes(tmp_path, name):
         assert result["fault_model"] == "burst"
         assert json.loads((direct / "rtl.jsonl").read_text().splitlines()
                           [0])["fault_model"] == "burst"
+
+
+class TestShardedBudget:
+    """A sharded job's ``budget`` fires at the coordinator, with the
+    in-process run's outcome and message."""
+
+    PARAMS = {"app": "MxM", "injections": 8, "batch_size": 2,
+              "budget": 1e-6}
+
+    def test_a_drained_job_fails_like_an_in_process_run(self, tmp_path):
+        store = JobStore(tmp_path / "in-process.sqlite3")
+        store.submit("pvf", normalize_params("pvf", self.PARAMS))
+        in_process = Scheduler(store, tmp_path / "in-process").run_once()
+        assert in_process.state == "failed"
+
+        with ServiceDaemon(tmp_path / "svc", port=0, poll_interval=0.05,
+                           quiet=True, execute_jobs=False) as daemon:
+            client = ServiceClient(daemon.url, timeout=30.0)
+            job_id = client.submit("pvf", units_per_claim=1,
+                                   **self.PARAMS)["id"]
+            worker = CampaignWorker(daemon.url, name="w0",
+                                    lease_seconds=60, poll_interval=0.05)
+            # the first claim starts the clock; the next one finds the
+            # job failed instead of another shard
+            assert worker.run_forever(drain=True) == 1
+            job = client.job(job_id)
+        assert job_id == in_process.id
+        assert job["state"] == "failed"
+        assert job["error"] == in_process.error
+        assert all(shard["state"] != "leased" for shard in job["shards"])
+
+    def test_shard_holders_stop_at_their_next_heartbeat(self, tmp_path):
+        store = JobStore(tmp_path / "jobs.sqlite3")
+        service = CampaignService(
+            store, Scheduler(store, tmp_path, execute_jobs=False))
+        job_id = service.submit({"kind": "pvf", "params": dict(
+            self.PARAMS, budget=30, units_per_claim=1)})["id"]
+        claim = service.claim({"worker": "w0", "lease_seconds": 600})
+        lo, hi = claim["units"]
+        service.post_units(job_id, {"worker": "w0", "lo": lo, "reports":
+                                    run_job_units("pvf", claim["job"]
+                                                  ["params"], lo, hi)})
+        beat = {"worker": "w1", "lease_seconds": 600}
+        service.claim(beat)
+        service.heartbeat(job_id, beat)
+
+        # a minute on, the 30 s budget is spent but the leases are not
+        assert store.reap(now=time.time() + 60)["failed"] == [job_id]
+        with pytest.raises(ApiError, match="holds no lease") as caught:
+            service.heartbeat(job_id, beat)
+        assert caught.value.status == 409
+        assert [s["state"] for s in store.shards(job_id)] == [
+            "done", "queued", "queued", "queued"]
+        # the delivered unit stays journaled for a requeue to resume
+        (journal,) = service.scheduler.jobdir(job_id).glob("*.jsonl")
+        assert len(journal.read_text().splitlines()) == 2
 
 
 class TestCoordinatorOnlySubmit:

@@ -80,7 +80,7 @@ class TestReaping:
         store.submit("pvf", {})
         job = store.claim_next(worker="w1", lease_seconds=300.0)
         assert store.reap() == {"jobs": [], "shards": [],
-                                "cancelled": []}
+                                "cancelled": [], "failed": []}
         assert store.get(job.id).state == "running"
 
     def test_expired_lease_with_cancel_lands_cancelled(self, store):
