@@ -122,16 +122,17 @@ class CampaignMetrics:
     The engine calls :meth:`record_unit` once per completed unit (cached
     replays included); everything else — rates, ETA, outcome totals,
     serialisation — is derived.  ``total_units`` is filled in by the
-    engine when the plan is known.
+    engine when the plan is known.  ``elapsed`` (seconds the stage ran
+    before this collector was built) keeps a rebuilt one's wall-clock.
     """
 
     def __init__(self, stage: str, total_units: Optional[int] = None,
-                 meta: Optional[dict] = None) -> None:
+                 meta: Optional[dict] = None, elapsed: float = 0.0) -> None:
         self.stage = stage
         self.total_units = total_units
         self.meta = dict(meta or {})
         self.units: List[UnitRecord] = []
-        self._started = time.perf_counter()
+        self._started = time.perf_counter() - elapsed
         self._wall: Optional[float] = None
 
     # -- collection ---------------------------------------------------------

@@ -746,13 +746,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port (0 picks a free one; see "
                             "<workdir>/service.json)")
     serve.add_argument("--poll-interval", type=float, default=0.5,
-                       help="seconds the scheduler sleeps when the "
-                            "queue is empty")
+                       help="seconds the scheduler and local worker "
+                            "sleep when the queue is empty")
     serve.add_argument("--quiet", action="store_true",
                        help="suppress request logging and job progress")
     serve.add_argument("--no-scheduler", action="store_true",
-                       help="coordinator mode: queue, lease and merge "
-                            "only — jobs execute on pull workers "
+                       help="coordinator mode: no local worker and no "
+                            "pipelines — queue, lease and merge only; "
+                            "pvf/rtl jobs execute on pull workers "
                             "('repro worker')")
     serve.add_argument("--max-queue", type=int, default=None,
                        help="reject submissions (HTTP 429) once this "

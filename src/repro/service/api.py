@@ -4,17 +4,18 @@ Endpoints (all JSON unless noted):
 
 * ``POST /jobs`` — submit ``{"kind": "pvf"|"rtl"|"pipeline",
   "params": {...}, "priority": 0}``; parameters are validated up front
-  (400 on error), a saturated queue answers 429 when the daemon was
-  started with a queue-depth limit, and a coordinator without a
-  scheduler answers 422 to jobs no worker can claim.  A daemon that
-  runs jobs itself answers 422 to a ``timeout`` on a ``jobs=1`` job:
-  its scheduler thread cannot enforce it.
+  (400 on error, an empty campaign included), a saturated queue answers
+  429 when the daemon was started with a queue-depth limit, and a
+  coordinator without a scheduler answers 422 to pipeline jobs, which
+  no worker can claim.  A daemon that runs jobs itself answers 422 to a
+  ``timeout`` on a ``jobs=1`` job: its local worker and pipeline
+  runner are threads, where the guard cannot fire.
 * ``GET /jobs`` (``?state=queued|running|done|failed|cancelled``) —
   list jobs.
 * ``GET /jobs/<id>`` — one job, plus ``telemetry``: the live
   ``metrics.json`` heartbeat its campaign is writing (per-stage
   summaries; per-unit records are available via the artifact) and
-  ``shards``: the unit-shard table of a multi-worker job.
+  ``shards``: the unit-shard table of a pvf/rtl job.
 * ``POST /jobs/<id>/cancel`` — immediate for queued jobs, cooperative
   (between work units) for running ones.
 * ``POST /jobs/<id>/requeue`` — put a failed/cancelled job back in the
@@ -27,22 +28,23 @@ Endpoints (all JSON unless noted):
   a finished pvf/rtl job's merged report (``pattern-report`` schema),
   generated lazily on first fetch.
 
-Worker protocol (remote machines joining with zero shared filesystem):
+Worker protocol (remote machines and an executing daemon's own worker):
 
 * ``POST /claim`` — ``{"worker": "name", "lease_seconds": 30}``; 200
   with ``{"job": ..., "units": [lo, hi], "lease_seconds": ...}`` leases
-  the next unit shard of a claimable pvf/rtl job, 204 means no work.
+  the next unit shard of a pvf/rtl job, 204 means no work.
   An optional ``"max_units"`` caps the claim (the shard is split and
   the remainder re-queued) — workers pace it from units/s telemetry.
 * ``POST /jobs/<id>/heartbeat`` — renew the worker's lease between
   units; the response carries ``cancel_requested`` (cooperative
   cancellation) and 409 means the lease expired — drop the results.
 * ``POST /jobs/<id>/units`` — deliver a finished shard's per-unit
-  reports (``{"worker": ..., "lo": ..., "reports": {index: payload}}``),
-  hand a shard back unfinished (``"release": true``) or fail the job
-  (``"error": "..."``).  The daemon journals the units and, when the
-  last shard lands, merges them in unit-index order — bit-identical to
-  a single-process run.
+  reports (``{"worker": ..., "lo": ..., "reports": {index: payload}}``,
+  exactly the leased ``[lo, hi)``, plus optional ``"units"``: the
+  shard's telemetry rows), hand a shard back unfinished
+  (``"release": true``) or fail the job (``"error": "..."``).  The
+  daemon journals the units and, when the last shard lands, merges
+  them in unit-index order — bit-identical to a single-process run.
 * ``GET /workers`` — every worker ever seen, with liveness.
 
 Artifact responses carry a strong ``ETag`` (content SHA-256); a request
@@ -53,10 +55,9 @@ the payload's :mod:`repro.artifacts` schema, so clients can pick a
 decoder (and detect version skew) without sniffing the body.
 
 :class:`ServiceDaemon` bundles the pieces: it recovers interrupted jobs,
-runs the scheduler loop on one thread and a
-:class:`~http.server.ThreadingHTTPServer` on another, and records its
-bound address in ``<workdir>/service.json`` so clients (and tests using
-``--port 0``) can find it.
+runs the HTTP server, the scheduler loop and a local worker on threads,
+and records its bound address in ``<workdir>/service.json`` so clients
+(and tests using ``--port 0``) can find it.
 """
 
 from __future__ import annotations
@@ -65,10 +66,12 @@ import hashlib
 import json
 import os
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+from ..campaign.telemetry import CampaignMetrics, UnitRecord, load_metrics
 from ..errors import CampaignError, ServiceError
 from .scheduler import (
     JOB_KINDS,
@@ -80,12 +83,17 @@ from .scheduler import (
     spec_journal,
 )
 from .store import JOB_STATES, JobStore
+from .worker import CampaignWorker
 
 __all__ = ["ApiError", "CampaignService", "ServiceDaemon", "serve",
-           "DEFAULT_LEASE_SECONDS"]
+           "DEFAULT_LEASE_SECONDS", "LOCAL_WORKER"]
 
 #: Lease a claim stamps when the worker does not ask for a specific one.
 DEFAULT_LEASE_SECONDS = 30.0
+
+#: Name of an executing daemon's own worker.  Fixed, so a restarted
+#: daemon can release the leases its previous incarnation held.
+LOCAL_WORKER = "local"
 
 
 class ApiError(ServiceError):
@@ -140,24 +148,22 @@ class CampaignService:
             params = normalize_params(kind, payload.get("params"))
         except ServiceError as exc:
             raise ApiError(400, str(exc))
-        if not self.scheduler.execute_jobs and (
-                kind == "pipeline" or not job_spec(kind, params).units):
+        if not self.scheduler.execute_jobs and kind == "pipeline":
             # a coordinator only merges what workers deliver
             raise ApiError(
-                422, f"workers cannot claim this {kind} job — pipelines "
-                     f"and empty campaigns run only on a daemon's own "
-                     f"scheduler, and this one was started with "
-                     f"--no-scheduler")
+                422, "workers cannot claim a pipeline job — pipelines "
+                     "run only on a daemon's own scheduler, and this one "
+                     "was started with --no-scheduler")
         if (self.scheduler.execute_jobs and params["timeout"] is not None
                 and params["jobs"] < 2):
-            # the wall-clock guard is a SIGALRM timer, which only the
-            # main thread can take; pool processes and remote workers
-            # run units on theirs
+            # the wall-clock guard is a SIGALRM timer, which only a main
+            # thread can take; pool processes and remote workers run
+            # units on theirs, this daemon's local worker on a thread
             raise ApiError(
-                422, "this daemon would run the job in-process on its "
-                     "scheduler thread, where a timeout cannot be "
-                     "enforced; set jobs >= 2 or submit to a "
-                     "--no-scheduler coordinator whose workers run it")
+                422, "this daemon would run the job on one of its own "
+                     "threads, where a timeout cannot be enforced; set "
+                     "jobs >= 2 or submit to a --no-scheduler "
+                     "coordinator whose workers run it")
         if self.max_queue_depth is not None:
             depth = self.store.count_states()["queued"]
             if depth >= self.max_queue_depth:
@@ -279,11 +285,12 @@ class CampaignService:
     def post_units(self, job_id: int, payload: dict) -> dict:
         """Ingest a shard's unit reports (or a release / worker error).
 
-        The delivery path of the pull protocol: reports are validated
-        through the artifact registry, journaled into the job's regular
-        campaign checkpoint (so requeues and in-process runs resume
-        from them), and the shard is marked done — the worker that
-        lands the job's last shard triggers the in-order merge.
+        The delivery path of the pull protocol: a lost lease is a 409,
+        a delivery that is not exactly the leased ``[lo, hi)`` a 400
+        (both journal nothing).  Reports are validated through the
+        artifact registry, journaled into the job's campaign checkpoint
+        (so requeues resume from them), and the shard is marked done —
+        the worker that lands the job's last shard triggers the merge.
         """
         job = self._get(job_id)
         if not isinstance(payload, dict):
@@ -306,6 +313,17 @@ class CampaignService:
         if not isinstance(reports, dict) or not reports:
             raise ApiError(400, "'reports' must be a non-empty object "
                                 "of {unit index: report payload}")
+        leased = {s["lo"]: s["hi"] for s in self.store.shards(job.id)
+                  if s["state"] == "leased" and s["worker"] == worker}
+        if lo not in leased:
+            raise ApiError(409, f"worker {worker!r} holds no lease on job "
+                                f"{job.id} units [{lo}, ...); results "
+                                f"dropped")
+        hi = leased[lo]
+        if {str(key) for key in reports} != {str(i) for i in range(lo, hi)}:
+            raise ApiError(400, f"a delivery for shard [{lo}, {hi}) must "
+                                f"carry exactly its units, not "
+                                f"{sorted(reports, key=str)}")
         from ..artifacts import load_artifact
         from ..errors import ArtifactError
 
@@ -319,6 +337,13 @@ class CampaignService:
                 decoded[int(key)] = load_artifact(spec.schema, body)
         except (ArtifactError, ValueError) as exc:
             raise ApiError(400, f"undecodable unit report: {exc}")
+        try:
+            timings = [UnitRecord.from_dict(row)
+                       for row in payload.get("units") or ()]
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ApiError(400, f"undecodable unit telemetry: {exc!r}")
+        if any(not lo <= row.index < hi for row in timings):
+            raise ApiError(400, f"unit telemetry outside [{lo}, {hi})")
         jobdir = self.scheduler.jobdir(job.id)
         with self._ingest_lock:
             # journal first, then mark the shard done: a crash in
@@ -336,7 +361,8 @@ class CampaignService:
                                                  units=len(decoded))
             except ServiceError as exc:
                 raise ApiError(409, str(exc))
-            self._record_shard_metrics(job, jobdir, journal.completed)
+            self._record_shard_metrics(job, spec, jobdir,
+                                       journal.completed, timings)
             if last:
                 try:
                     finalize_sharded_job(self.store, job, jobdir)
@@ -363,26 +389,41 @@ class CampaignService:
             raise ApiError(409, str(exc))
         return failed.to_dict()
 
-    def _record_shard_metrics(self, job, jobdir: Path,
-                              completed: Dict[int, object]) -> None:
-        """Keep the job's live ``metrics.json`` heartbeat current.
+    @staticmethod
+    def _record_shard_metrics(job, spec, jobdir: Path,
+                              completed: Dict[int, object],
+                              timings: List[UnitRecord]) -> None:
+        """Rewrite the job's ``metrics.json`` after a delivery.
 
-        Rebuilt from the journal on every delivery instead of patched
-        incrementally — unit ordering and duplicate suppression come
-        for free, and the journal is the ground truth anyway.
+        Each journaled unit keeps the timing row a worker delivered for
+        it (earlier deliveries' rows come from the previous file), else
+        gets a zero-timing row rebuilt from its report.  The stage
+        wall-clock spans the job's run so far.
         """
-        from ..campaign.telemetry import CampaignMetrics
-
-        layout = plan_job_units(job, jobdir)
+        path = jobdir / "metrics.json"
+        rows: Dict[int, UnitRecord] = {}
+        if path.exists():
+            try:
+                rows = {unit["index"]: UnitRecord.from_dict(unit)
+                        for unit in load_metrics(path)["units"]}
+            except CampaignError:
+                pass  # unreadable: rebuilt from the journal below
+        rows.update((row.index, row) for row in timings)
         metrics = CampaignMetrics(
             f"{job.kind}/job-{job.id}",
-            total_units=None if layout is None else layout[0])
+            # an adaptive job's horizon is unknowable, as in spec.run
+            total_units=(None if job.params.get("target_ci") is not None
+                         else len(spec.units)),
+            elapsed=time.time() - (job.started_at or time.time()))
         for index in sorted(completed):
+            if index in rows:
+                metrics.units.append(rows[index])
+                continue
             report = completed[index]
             metrics.record_unit(index, label=f"unit {index}",
                                 size=getattr(report, "n_injections", 0),
                                 report=report, worker=0)
-        metrics.save(jobdir / "metrics.json")
+        metrics.save(path)
 
     # -- artifacts ----------------------------------------------------------
     def artifact(self, job_id: int, name: str
@@ -625,7 +666,13 @@ class _Server(ThreadingHTTPServer):
 
 
 class ServiceDaemon:
-    """The campaign service: scheduler loop + HTTP server + job store.
+    """The campaign service: HTTP server + job store + scheduler loop +
+    a local :class:`~repro.service.worker.CampaignWorker` on its own URL.
+
+    Every pvf/rtl job thus runs through the shard protocol, whichever
+    worker claims it; the scheduler keeps maintenance and pipelines.
+    ``execute_jobs=False`` (coordinator mode) runs no local worker and
+    no pipelines: remote ``repro worker`` processes do all the work.
 
     ``port=0`` binds an ephemeral port; the effective address is exposed
     as :attr:`url` and recorded in ``<workdir>/service.json``.
@@ -639,9 +686,6 @@ class ServiceDaemon:
         self.workdir = Path(workdir)
         self.workdir.mkdir(parents=True, exist_ok=True)
         self.store = JobStore(self.workdir / "jobs.sqlite3")
-        # execute_jobs=False: coordinator mode — the scheduler thread
-        # only reaps leases and merges finished shards; remote
-        # ``repro worker`` processes do all the executing
         self.scheduler = Scheduler(self.store, self.workdir,
                                    poll_interval=poll_interval,
                                    quiet=quiet,
@@ -650,6 +694,10 @@ class ServiceDaemon:
                                        max_queue_depth=max_queue_depth)
         self.quiet = quiet
         self._httpd = _Server((host, port), self.service, quiet=quiet)
+        self.worker = (CampaignWorker(
+            self.url, name=LOCAL_WORKER, quiet=quiet,
+            lease_seconds=DEFAULT_LEASE_SECONDS,
+            poll_interval=poll_interval) if execute_jobs else None)
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
 
@@ -665,7 +713,7 @@ class ServiceDaemon:
 
     def start(self) -> "ServiceDaemon":
         """Recover interrupted jobs, then serve HTTP + run the queue."""
-        recovered = self.scheduler.recover()
+        recovered = self.store.recover(LOCAL_WORKER)
         if recovered and not self.quiet:
             ids = ", ".join(str(job.id) for job in recovered)
             print(f"recovered interrupted job(s): {ids}", flush=True)
@@ -682,17 +730,27 @@ class ServiceDaemon:
                              args=(self._stop,),
                              name="repro-service-scheduler", daemon=True),
         ]
+        if self.worker is not None:
+            self._threads.append(threading.Thread(
+                target=self.worker.run_forever, args=(self._stop,),
+                name="repro-service-worker", daemon=True))
         for thread in self._threads:
             thread.start()
         return self
 
     def stop(self) -> None:
-        """Stop accepting work and shut the HTTP server down."""
+        """Stop the worker and scheduler, then the HTTP server.
+
+        The local worker stops at its next unit boundary and hands its
+        shard back while the server still answers.
+        """
         self._stop.set()
+        http, *loops = self._threads
+        for thread in reversed(loops):
+            thread.join(timeout=10)
         self._httpd.shutdown()
         self._httpd.server_close()
-        for thread in self._threads:
-            thread.join(timeout=10)
+        http.join(timeout=10)
 
     def wait(self) -> None:
         """Block until interrupted (the CLI foreground mode)."""

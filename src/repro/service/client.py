@@ -116,10 +116,12 @@ class ServiceClient:
         return self._json("POST", f"/jobs/{job_id}/heartbeat", payload)
 
     def post_units(self, job_id: Union[int, str], worker: str, lo: int,
-                   reports: dict) -> dict:
-        """Deliver a finished shard's ``{unit index: report payload}``."""
+                   reports: dict, units: Optional[List[dict]] = None
+                   ) -> dict:
+        """Deliver a finished shard's ``{unit index: report payload}``
+        and its per-unit telemetry rows (``UnitRecord`` dicts)."""
         return self._json("POST", f"/jobs/{job_id}/units", {
-            "worker": worker, "lo": lo,
+            "worker": worker, "lo": lo, "units": units,
             "reports": {str(k): v for k, v in reports.items()}})
 
     def release_shard(self, job_id: Union[int, str], worker: str,

@@ -1,28 +1,27 @@
-"""Scheduler: claims queued jobs and executes them via the engine.
+"""Scheduler: the daemon's maintenance loop, pipeline runner and shards.
 
-One :class:`Scheduler` drains the :class:`~repro.service.store.JobStore`
-one job at a time.  Each job owns a directory
-(``<workdir>/jobs/<id>/``) holding its campaign journals, live
-``metrics.json`` telemetry, and the final ``report.json`` artifact —
-everything the HTTP API serves.
+Every pvf/rtl job, on any daemon, runs through the shard protocol: a
+worker claims units ``[lo, hi)`` of the job's seed-indexed plan
+(:func:`plan_job_units`), runs them with :func:`run_job_units` and
+delivers the unit reports, which the daemon journals and — once every
+shard is in — merges with :func:`finalize_sharded_job`.  A daemon that
+executes jobs itself does so through one more
+:class:`~repro.service.worker.CampaignWorker`, on a thread of its own
+(:class:`~repro.service.api.ServiceDaemon`).
 
-Three properties connect the service to the campaign engine:
+The :class:`Scheduler` thread keeps the rest.  Every pass it reaps
+expired shard leases, fails sharded jobs past their ``budget``, settles
+cancelled ones and finalizes fully delivered ones; on an executing
+daemon it also runs pipeline jobs — multi-stage, never sharded — whole,
+one at a time (:func:`execute_job`), polling the job's cancellation
+flag and budget between work units.
 
-* **Checkpoint everything** — every job runs with an engine journal in
-  its job directory and ``resume=True`` whenever that journal already
-  exists, so a re-queued job (daemon restart, explicit requeue)
-  continues instead of restarting.
-* **Cooperative cancellation** — the engine polls the job's
-  ``cancel_requested`` flag (and the job's wall-clock budget) between
-  work units via the ``cancel=`` hook; a stop lands the job in
-  ``cancelled`` (or ``failed`` for a blown budget) with all completed
-  units journaled.  A sharded job's budget is enforced by the store's
-  reaper instead (:meth:`~repro.service.store.JobStore.reap`).
-* **Bit-identical results** — execution goes through the exact same
-  campaign specs the synchronous CLI runs, with the same seed-indexed
-  batch plan, so a job's merged report equals the direct
-  ``python -m repro`` run's for the same parameters, no matter how
-  often the daemon died in between or how many workers shared it.
+Each job owns a directory (``<workdir>/jobs/<id>/``) holding its
+campaign journal, ``metrics.json`` telemetry and final ``report.json``.
+A job's report is bit-identical to the direct ``python -m repro`` run
+for the same parameters: its units are the ones the campaign spec runs
+in-process, journaled per delivered shard and merged in index order,
+however many workers shared them and however often a daemon died.
 """
 
 from __future__ import annotations
@@ -36,10 +35,9 @@ import time
 import traceback
 from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from ..campaign.checkpoint import CampaignCheckpoint
-from ..campaign.progress import make_progress
 from ..campaign.telemetry import CampaignMetrics
 from ..errors import BudgetExceeded, CampaignCancelled, ServiceError
 from .store import Job, JobStore
@@ -51,9 +49,9 @@ __all__ = ["JOB_KINDS", "Scheduler", "execute_job",
 #: The campaign shapes the service runs.
 JOB_KINDS = ("pvf", "rtl", "pipeline")
 
-#: Seconds between ``cancel_requested`` polls of the store; between
-#: polls the cached answer is reused, keeping the per-unit overhead off
-#: the SQLite file.
+#: Seconds between a pipeline's ``cancel_requested`` polls of the store;
+#: between polls the cached answer is reused, keeping the per-unit
+#: overhead off the SQLite file.
 _CANCEL_POLL_SECONDS = 0.25
 
 #: Ceiling on the retry backoff after a transient store error (e.g.
@@ -100,7 +98,7 @@ def _canonical_app(name, factories) -> str:
 
 _COMMON_KEYS = {"seed", "jobs", "batch_size", "timeout", "budget",
                 "precision"}
-#: pvf/rtl jobs are claimable in unit shards by remote workers;
+#: pvf/rtl jobs are claimed in unit shards by workers;
 #: ``units_per_claim`` caps how many units one claim hands out, and the
 #: adaptive trio (``target_ci``/``strategy``/``min_per_cell``) switches
 #: the job to sequential sampling over a moving unit horizon.
@@ -219,9 +217,10 @@ def _check_rtl_workload(params: dict) -> None:
 def normalize_params(kind: str, params: Optional[dict]) -> dict:
     """Validate a submission and fill in defaults.
 
-    Runs at submit time — a bad app name or negative injection count is
-    a 400 at the API, not a ``failed`` job hours later.  Returns the
-    normalized parameter dict that is stored with the job.
+    Runs at submit time — a bad app name or an empty pvf/rtl campaign
+    (no injections or faults) is a 400 at the API, not a ``failed`` job
+    hours later.  Returns the normalized parameter dict that is stored
+    with the job.
     """
     from ..apps import APP_FACTORIES
     from ..gpu.isa import Opcode
@@ -254,7 +253,8 @@ def normalize_params(kind: str, params: Optional[dict]) -> dict:
                 f"unknown fault model {model!r}; choose from "
                 f"('bitflip', 'syndrome')")
         out.update(app=app, model=model,
-                   injections=_require_int(params, "injections", 300),
+                   injections=_require_int(params, "injections", 300,
+                                           minimum=1),
                    units_per_claim=_require_int(
                        params, "units_per_claim", None, minimum=1),
                    **_require_adaptive(params))
@@ -275,7 +275,7 @@ def normalize_params(kind: str, params: Optional[dict]) -> dict:
                 f"unknown input range {input_range!r}; "
                 f"choose from ('S', 'M', 'L')")
         out.update(opcode=opcode, module=module, range=input_range,
-                   faults=_require_int(params, "faults", 500),
+                   faults=_require_int(params, "faults", 500, minimum=1),
                    units_per_claim=_require_int(
                        params, "units_per_claim", None, minimum=1),
                    **_require_adaptive(params),
@@ -323,34 +323,6 @@ def normalize_params(kind: str, params: Optional[dict]) -> dict:
             tmxm_faults=_require_int(params, "tmxm_faults", 200),
             injections=_require_int(params, "injections", 300))
     return out
-
-
-# -- live telemetry -----------------------------------------------------------
-class _LiveMetrics(CampaignMetrics):
-    """Campaign metrics that persist themselves while the job runs.
-
-    The engine records one unit at a time; saving (throttled) after each
-    record is what turns the job directory's ``metrics.json`` into the
-    live heartbeat ``GET /jobs/<id>`` serves mid-run.
-    """
-
-    def __init__(self, stage: str, path: Path,
-                 interval: float = 1.0) -> None:
-        super().__init__(stage)
-        self._path = path
-        self._interval = interval
-        self._last_save = 0.0
-
-    def record_unit(self, *args, **kwargs):
-        record = super().record_unit(*args, **kwargs)
-        now = time.monotonic()
-        if now - self._last_save >= self._interval:
-            self._last_save = now
-            self.save(self._path)
-        return record
-
-    def save(self, path=None) -> Path:
-        return super().save(self._path if path is None else path)
 
 
 # -- job specs ----------------------------------------------------------------
@@ -494,9 +466,8 @@ def _job_result(params: dict, spec, results: Dict[int, object],
                 controller, jobdir: Path) -> dict:
     """Merge a job's unit results into its ``report.json`` payload.
 
-    Shared by the in-process run and the sharded finalizer, so both
-    paths land byte-identical results.  A signature job also writes
-    ``signature.json``, the enveloped report the API serves.
+    A signature job also writes ``signature.json``, the enveloped
+    report the API serves.
     """
     (report,) = spec.merge(results)
     if spec.schema == "signature-report":
@@ -518,28 +489,7 @@ def _job_result(params: dict, spec, results: Dict[int, object],
     return result
 
 
-def _run_pipeline_job(params: dict, jobdir: Path, cancel, progress) -> dict:
-    from ..campaign.pipeline import run_pipeline
-    from ..gpu.isa import Opcode
-
-    opcodes = params["opcodes"]
-    if opcodes is not None:
-        opcodes = [Opcode(name) for name in opcodes]
-    # the job directory *is* the pipeline workdir: journals, the
-    # database, per-stage metrics and the combined metrics.json all
-    # land where the artifact registry looks for them
-    summary = run_pipeline(
-        jobdir, seed=params["seed"], opcodes=opcodes,
-        grid_faults=params["grid_faults"],
-        tmxm_faults=params["tmxm_faults"], apps=params["apps"],
-        models=params["models"], injections=params["injections"],
-        n_jobs=params["jobs"], batch_size=params["batch_size"],
-        timeout=params["timeout"], quiet=not progress.enabled,
-        precision=params.get("precision", "fp32"), cancel=cancel)
-    return {"kind": "pipeline", **summary}
-
-
-# -- unit sharding (multi-worker jobs) ----------------------------------------
+# -- unit sharding -----------------------------------------------------------
 def _per_claim(params: dict, n_units: int) -> int:
     per_claim = params.get("units_per_claim")
     if per_claim is None:
@@ -550,14 +500,13 @@ def _per_claim(params: dict, n_units: int) -> int:
 
 def plan_job_units(job: Job, jobdir: Union[str, Path, None] = None
                    ) -> Optional[Tuple[int, int]]:
-    """``(total units, units per claim)`` for a shardable job.
+    """``(total units, units per claim)`` of a pvf/rtl job.
 
-    Returns ``None`` when the job cannot be claimed in shards by remote
-    workers — pipeline jobs (multi-stage, in-process only) and empty
-    campaigns (zero injections/faults), which the in-process scheduler
-    finishes trivially.  The unit count is exactly the job spec's plan,
-    so shard ``[lo, hi)`` always names the same seed-indexed units on
-    every worker.
+    Returns ``None`` for pipeline jobs, which the daemon's scheduler
+    runs whole.  Every pvf/rtl job has at least one unit (submission
+    requires injections/faults), and the unit count is exactly the job
+    spec's plan, so shard ``[lo, hi)`` always names the same
+    seed-indexed units on every worker.
 
     For adaptive jobs (``target_ci`` set) the unit count is the current
     **moving horizon**: the units the adaptive controller has planned
@@ -573,28 +522,29 @@ def plan_job_units(job: Job, jobdir: Union[str, Path, None] = None
     if controller is not None:
         controller.replay(_journaled(spec, jobdir))
         units = controller.planned_units
-    if not units:
-        return None
     return len(units), _per_claim(job.params, len(units))
 
 
 def run_job_units(kind: str, params: dict, lo: int, hi: int,
-                  cancel: Optional[Callable[[], bool]] = None
+                  cancel: Optional[Callable[[], bool]] = None,
+                  metrics: Optional[CampaignMetrics] = None
                   ) -> Dict[int, dict]:
-    """Execute units ``[lo, hi)`` of a sharded job on this machine.
+    """Execute units ``[lo, hi)`` of a pvf/rtl job on this machine.
 
-    The worker-side half of the shard protocol: builds the job's spec
-    from its (normalized) parameters and runs exactly the engine units
-    a single-process run would execute at those indices.  Returns
-    ``{unit index: report payload}`` ready to POST back.
+    The worker half of the shard protocol: builds the job's spec from
+    its (normalized) parameters and runs exactly the engine units a
+    single-process run would execute at those indices, on a pool of the
+    job's ``jobs`` processes.  *metrics* collects one telemetry row per
+    unit.  Returns ``{unit index: report payload}`` ready to POST back.
     """
-    done = job_spec(kind, params).run(lo, hi, cancel=cancel)
+    done = job_spec(kind, params).run(lo, hi, n_jobs=params["jobs"],
+                                      cancel=cancel, metrics=metrics)
     return {index: report.to_dict() for index, report in done.items()}
 
 
 def finalize_sharded_job(store: JobStore, job: Job,
                          jobdir: Union[str, Path]) -> Job:
-    """Merge a sharded job's journaled units into its final result.
+    """Merge a pvf/rtl job's journaled units into its final result.
 
     Runs on the daemon once every shard is done: replays the journal,
     merges the per-unit reports in index order (bit-identical to the
@@ -625,8 +575,6 @@ def finalize_sharded_job(store: JobStore, job: Job,
             raise ServiceError(
                 f"job {job.id} adaptive horizon moved to {len(units)} "
                 f"unit(s); {added} new shard(s) queued")
-    if not units:
-        raise ServiceError(f"job {job.id} is not a sharded job")
     missing = [u.index for u in units if u.index not in completed]
     if missing:
         raise ServiceError(
@@ -644,14 +592,19 @@ def finalize_sharded_job(store: JobStore, job: Job,
 def execute_job(job: Job, jobdir: Union[str, Path],
                 store: Optional[JobStore] = None,
                 quiet: bool = True) -> dict:
-    """Execute one claimed job; returns its result payload.
+    """Run one claimed pipeline job whole; returns its result payload.
 
     Raises :class:`~repro.errors.CampaignCancelled` when the store's
-    cancellation flag (or the job's ``budget``) stops the run, and
-    whatever the campaign raised on failure.  The caller owns the store
-    state transition.  Exposed separately from :class:`Scheduler` so
-    tests (and one-shot tools) can run a job without a daemon.
+    cancellation flag stops the run, :class:`~repro.errors.BudgetExceeded`
+    when the job's ``budget`` does, and whatever the pipeline raised on
+    failure.  The caller owns the store state transition.  pvf/rtl jobs
+    never come here: workers run them shard by shard.
     """
+    from ..campaign.pipeline import run_pipeline
+    from ..gpu.isa import Opcode
+
+    if job.kind != "pipeline":
+        raise ServiceError(f"{job.kind} jobs run as shards on workers")
     params = job.params
     jobdir = Path(jobdir)
     jobdir.mkdir(parents=True, exist_ok=True)
@@ -674,46 +627,42 @@ def execute_job(job: Job, jobdir: Union[str, Path],
                 return True
         return False
 
-    progress = make_progress(None, f"job {job.id}", quiet=quiet)
-    metrics = None
-    if job.kind != "pipeline":
-        # pipeline jobs write their own (multi-stage) metrics.json
-        metrics = _LiveMetrics(f"{job.kind}/job-{job.id}",
-                               jobdir / "metrics.json")
+    opcodes = params["opcodes"]
+    if opcodes is not None:
+        opcodes = [Opcode(name) for name in opcodes]
     try:
-        if job.kind == "pipeline":
-            result = _run_pipeline_job(params, jobdir, cancel, progress)
-        else:
-            spec = job_spec(job.kind, params)
-            journal = jobdir / _JOURNALS[spec.schema]
-            controller = _controller(spec, params)
-            results = spec.run(n_jobs=params["jobs"], checkpoint=journal,
-                               resume=journal.exists(), progress=progress,
-                               metrics=metrics, cancel=cancel,
-                               adaptive=controller)
-            result = _job_result(params, spec, results, controller, jobdir)
+        # the job directory *is* the pipeline workdir: journals, the
+        # database, per-stage metrics and the combined metrics.json all
+        # land where the artifact registry looks for them
+        summary = run_pipeline(
+            jobdir, seed=params["seed"], opcodes=opcodes,
+            grid_faults=params["grid_faults"],
+            tmxm_faults=params["tmxm_faults"], apps=params["apps"],
+            models=params["models"], injections=params["injections"],
+            n_jobs=params["jobs"], batch_size=params["batch_size"],
+            timeout=params["timeout"], quiet=quiet,
+            precision=params.get("precision", "fp32"), cancel=cancel)
     except CampaignCancelled as exc:
         if state["why"] == "budget":
             raise BudgetExceeded.for_job(job.id, budget) from exc
         raise
-    finally:
-        if metrics is not None:
-            metrics.save()
+    result = {"kind": "pipeline", **summary}
     (jobdir / "report.json").write_text(json.dumps(result, indent=2)
                                         + "\n")
     return result
 
 
 class Scheduler:
-    """Claims jobs from the store and executes them, one at a time.
+    """The daemon's maintenance loop, and its pipeline runner.
 
-    Beyond executing queued jobs in-process, the scheduler loop is the
-    daemon's maintenance heartbeat: every pass it reaps expired worker
-    leases (re-queueing a SIGKILLed worker's work) and finalizes
-    sharded jobs whose every unit shard has been delivered.  With
-    ``execute_jobs=False`` the loop does *only* that — the mode a
-    coordinator daemon runs in when remote ``repro worker`` processes
-    do all the executing.
+    Every pass reaps expired shard leases (re-queueing a SIGKILLed
+    worker's shard), fails sharded jobs past their budget, settles
+    cancelled ones and finalizes those whose every unit shard has been
+    delivered.  With ``execute_jobs=True`` it then runs at most one
+    queued pipeline job whole; pvf/rtl jobs are left to workers — an
+    executing daemon's own local worker among them.  With
+    ``execute_jobs=False`` the loop does *only* maintenance: the mode a
+    coordinator daemon runs in.
     """
 
     def __init__(self, store: JobStore, workdir: Union[str, Path],
@@ -728,17 +677,10 @@ class Scheduler:
     def jobdir(self, job_id: int) -> Path:
         return self.workdir / "jobs" / str(int(job_id))
 
-    def recover(self) -> List[Job]:
-        """Re-queue jobs interrupted by a daemon death (startup hook)."""
-        return self.store.recover()
-
     def maintain(self) -> None:
         """Reap expired leases; finalize fully-delivered sharded jobs."""
         reaped = self.store.reap()
         if not self.quiet:
-            for job_id in reaped["jobs"]:
-                print(f"[scheduler] lease expired: job {job_id} "
-                      f"re-queued", file=sys.stderr)
             for job_id, lo in reaped["shards"]:
                 print(f"[scheduler] lease expired: job {job_id} shard "
                       f"@{lo} re-queued", file=sys.stderr)
@@ -754,7 +696,7 @@ class Scheduler:
                           f"deferred: {exc}", file=sys.stderr)
 
     def run_once(self) -> Optional[Job]:
-        """Claim and execute at most one job; returns it (or None)."""
+        """Claim and run at most one pipeline job; returns it (or None)."""
         job = self.store.claim_next()
         if job is None:
             return None
@@ -775,7 +717,7 @@ class Scheduler:
     def run_forever(self, stop: Optional[threading.Event] = None,
                     idle_hook: Optional[Callable[[], None]] = None
                     ) -> None:
-        """Drain the queue until *stop* is set, sleeping while idle.
+        """Maintain (and run pipelines) until *stop* is set.
 
         Transient store errors — SQLite's "database is locked" under
         worker contention is the canonical one — must never kill the

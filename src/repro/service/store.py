@@ -7,23 +7,24 @@ the properties a long-lived injection fleet needs with zero
 dependencies:
 
 * **Durability** — the daemon can be SIGKILLed at any instant; on
-  restart :meth:`JobStore.recover` re-queues every job caught mid-run,
-  and the job's campaign journals (owned by the scheduler) make the
-  re-run resume instead of restart.
-* **Atomic claiming** — :meth:`JobStore.claim_next` and
-  :meth:`JobStore.claim_shard` flip work to a claimant inside a
-  ``BEGIN IMMEDIATE`` transaction, so N scheduler threads, daemons, or
-  remote workers draining one store never execute the same work twice.
-* **Leases, not locks** — a claim by a named worker carries a lease
+  restart :meth:`JobStore.recover` releases the daemon's own worker's
+  shard leases and re-queues every job no worker still holds, and the
+  job's campaign journal makes the re-run resume instead of restart.
+* **Atomic claiming** — :meth:`JobStore.claim_shard` (pvf/rtl unit
+  shards, for workers) and :meth:`JobStore.claim_next` (whole pipeline
+  jobs, for the daemon's scheduler) flip work to a claimant inside a
+  ``BEGIN IMMEDIATE`` transaction, so any number of claimants draining
+  one store never execute the same work twice.
+* **Leases, not locks** — a shard claim carries a lease
   (``lease_expires_at``); the worker renews it via :meth:`heartbeat`
   between work units.  A SIGKILLed worker simply stops renewing:
-  :meth:`reap` notices the expiry and puts the work back in the queue
-  for a surviving worker, which resumes from the job's journal.
-* **Unit shards** — large pvf/rtl jobs are claimable at sub-job
-  granularity: contiguous ranges of the engine's seed-indexed work
-  units (the ``shards`` table), so several machines execute one job
-  concurrently and the daemon merges their partial reports in unit
-  order — bit-identical to a single-process run.
+  :meth:`reap` notices the expiry and puts the shard back in the queue
+  for a surviving worker.
+* **Unit shards** — pvf/rtl jobs are claimed at sub-job granularity:
+  contiguous ranges of the engine's seed-indexed work units (the
+  ``shards`` table), so several machines execute one job concurrently
+  and the daemon merges their partial reports in unit order —
+  bit-identical to a single-process run.
 
 Every public method opens its own connection, so one :class:`JobStore`
 can be shared freely between the HTTP handler threads and the scheduler
@@ -121,6 +122,8 @@ class Job:
     error: Optional[str] = None
     result: Optional[Dict] = None
     priority: int = 0
+    # always None now that only shards are leased; kept so job-record
+    # v2 payloads keep their shape
     worker: Optional[str] = None
     lease_expires_at: Optional[float] = None
 
@@ -239,66 +242,53 @@ class JobStore:
         return counts
 
     # -- scheduler interface -------------------------------------------------
-    def claim_next(self, worker: Optional[str] = None,
-                   lease_seconds: Optional[float] = None) -> Optional[Job]:
-        """Atomically flip the best ``queued`` job to ``running``.
+    def claim_next(self) -> Optional[Job]:
+        """Atomically flip the best ``queued`` pipeline job to ``running``.
 
-        "Best" is highest priority, then oldest.  *worker* names the
-        claimant (recorded on the job and in the worker registry);
-        *lease_seconds* stamps a lease the claimant must renew via
-        :meth:`heartbeat` — without one the claim never expires and only
-        :meth:`recover` (daemon restart) can re-queue it.
+        "Best" is highest priority, then oldest.  Only pipeline jobs are
+        claimed whole — by the daemon's scheduler thread; pvf/rtl jobs
+        are claimed in shards (:meth:`claim_shard`).  The claim carries
+        no lease: only :meth:`recover` (daemon restart) re-queues it.
         """
         now = time.time()
         with self._connect() as conn:
             conn.execute("BEGIN IMMEDIATE")
             row = conn.execute(
                 "SELECT id FROM jobs WHERE state = 'queued' "
+                "AND kind = 'pipeline' "
                 "ORDER BY priority DESC, id LIMIT 1").fetchone()
             if row is None:
                 conn.execute("COMMIT")
                 return None
-            lease = None if lease_seconds is None else now + lease_seconds
             conn.execute(
                 "UPDATE jobs SET state = 'running', started_at = ?, "
-                "attempts = attempts + 1, worker = ?, "
-                "lease_expires_at = ? WHERE id = ?",
-                (now, worker, lease, row["id"]))
-            if worker is not None:
-                self._touch_worker(conn, worker, now, claimed=1)
+                "attempts = attempts + 1 WHERE id = ?", (now, row["id"]))
             conn.execute("COMMIT")
             job_id = int(row["id"])
         return self.get(job_id)
 
     def heartbeat(self, job_id: int, worker: str,
                   lease_seconds: float) -> Job:
-        """Renew *worker*'s lease(s) on a running job.
+        """Renew every shard lease *worker* holds on a job.
 
-        Renews the whole-job lease and/or every shard lease the worker
-        holds; raises :class:`ServiceError` when the worker holds
-        neither — the lease expired and the work was re-queued, so the
-        worker must drop its in-flight results.  Returns the fresh job
-        row (callers read ``cancel_requested`` off it, which is how
-        cooperative cancellation reaches remote workers).
+        Raises :class:`ServiceError` when the worker holds none — the
+        lease expired and the shard was re-queued, so the worker must
+        drop its in-flight results.  Returns the fresh job row (callers
+        read ``cancel_requested`` off it, which is how cooperative
+        cancellation reaches workers).
         """
         now = time.time()
-        expiry = now + float(lease_seconds)
         with self._connect() as conn:
             conn.execute("BEGIN IMMEDIATE")
-            row = conn.execute("SELECT state, worker FROM jobs "
-                               "WHERE id = ?", (int(job_id),)).fetchone()
+            row = conn.execute("SELECT state FROM jobs WHERE id = ?",
+                               (int(job_id),)).fetchone()
             if row is None:
                 raise ServiceError(f"no such job: {job_id}")
-            renewed = 0
-            if row["state"] == "running" and row["worker"] == worker:
-                renewed += conn.execute(
-                    "UPDATE jobs SET lease_expires_at = ? "
-                    "WHERE id = ? AND lease_expires_at IS NOT NULL",
-                    (expiry, int(job_id))).rowcount
-            renewed += conn.execute(
+            renewed = conn.execute(
                 "UPDATE shards SET lease_expires_at = ? "
                 "WHERE job_id = ? AND worker = ? AND state = 'leased'",
-                (expiry, int(job_id), worker)).rowcount
+                (now + float(lease_seconds), int(job_id),
+                 worker)).rowcount
             if renewed == 0:
                 raise ServiceError(
                     f"worker {worker!r} holds no lease on job {job_id} "
@@ -332,32 +322,37 @@ class JobStore:
                     f"cannot finish it as {state}")
             conn.execute(
                 "UPDATE jobs SET state = ?, finished_at = ?, error = ?, "
-                "result = ?, lease_expires_at = NULL WHERE id = ?",
+                "result = ? WHERE id = ?",
                 (state, time.time(), error,
                  None if result is None else json.dumps(result),
                  int(job_id)))
             conn.execute("COMMIT")
         return self.get(job_id)
 
-    def recover(self) -> List[Job]:
-        """Re-queue in-process jobs caught ``running`` by a daemon death.
+    def recover(self, worker: Optional[str] = None) -> List[Job]:
+        """Re-queue the jobs a daemon death left with no live claimant.
 
-        Called once at daemon startup, before the scheduler claims
-        anything.  Only leaseless, unsharded claims are touched — those
-        are the daemon's own in-process executions, which its death
-        interrupted.  Leased jobs and shards belong to (possibly still
-        alive) remote workers; if their owners died too, the lease
-        expiry and :meth:`reap` re-queue them.  A job whose cancellation
-        was requested before the crash lands in ``cancelled`` instead of
-        re-running.  Returns the jobs whose state changed.
+        Called once at daemon startup.  Releases *worker*'s shard leases
+        (the daemon's own worker, whose leases died with it), then puts
+        every ``running`` job no worker holds a lease on back in the
+        queue — its journal makes the re-run resume.  Other workers'
+        leases are left to expiry and :meth:`reap`.  A job whose
+        cancellation was requested lands in ``cancelled`` instead.
+        Returns the jobs whose state changed.
         """
         with self._connect() as conn:
             conn.execute("BEGIN IMMEDIATE")
+            if worker is not None:
+                conn.execute(
+                    "UPDATE shards SET state = 'queued', worker = NULL, "
+                    "lease_expires_at = NULL WHERE state = 'leased' "
+                    "AND worker = ?", (worker,))
             rows = conn.execute(
                 "SELECT id, cancel_requested FROM jobs "
-                "WHERE state = 'running' AND lease_expires_at IS NULL "
+                "WHERE state = 'running' "
                 "AND NOT EXISTS (SELECT 1 FROM shards "
-                "                WHERE shards.job_id = jobs.id)"
+                "                WHERE shards.job_id = jobs.id "
+                "                AND shards.state = 'leased')"
             ).fetchall()
             now = time.time()
             for row in rows:
@@ -370,20 +365,18 @@ class JobStore:
                 else:
                     conn.execute(
                         "UPDATE jobs SET state = 'queued', "
-                        "started_at = NULL, worker = NULL WHERE id = ?",
-                        (row["id"],))
+                        "started_at = NULL WHERE id = ?", (row["id"],))
             conn.execute("COMMIT")
         return [self.get(int(row["id"])) for row in rows]
 
     # -- lease reaping -------------------------------------------------------
     def reap(self, now: Optional[float] = None) -> Dict[str, list]:
-        """Re-queue every expired lease; settle cancelled sharded jobs;
-        fail sharded jobs past their wall-clock ``budget``.
+        """Re-queue every expired shard lease; settle cancelled sharded
+        jobs; fail sharded jobs past their wall-clock ``budget``.
 
-        Returns ``{"jobs": [...], "shards": [(job_id, lo), ...],
-        "cancelled": [...], "failed": [...]}`` naming what changed, so
-        callers can log the takeover.  Safe to call from any thread at
-        any time.
+        Returns ``{"shards": [(job_id, lo), ...], "cancelled": [...],
+        "failed": [...]}`` naming what changed, so callers can log the
+        takeover.  Safe to call from any thread at any time.
         """
         with self._connect() as conn:
             conn.execute("BEGIN IMMEDIATE")
@@ -402,29 +395,8 @@ class JobStore:
             "UPDATE shards SET state = 'queued', worker = NULL, "
             "lease_expires_at = NULL WHERE state = 'leased' "
             "AND lease_expires_at < ?", (now,))
-        # 2. whole-job leases that expired: re-queue (or settle a cancel)
-        requeued, cancelled = [], []
-        rows = conn.execute(
-            "SELECT id, cancel_requested FROM jobs "
-            "WHERE state = 'running' AND lease_expires_at IS NOT NULL "
-            "AND lease_expires_at < ?", (now,)).fetchall()
-        for row in rows:
-            if row["cancel_requested"]:
-                cancelled.append(int(row["id"]))
-                conn.execute(
-                    "UPDATE jobs SET state = 'cancelled', "
-                    "finished_at = ?, error = ?, worker = NULL, "
-                    "lease_expires_at = NULL WHERE id = ?",
-                    (now, "cancelled after its worker's lease expired",
-                     row["id"]))
-            else:
-                requeued.append(int(row["id"]))
-                conn.execute(
-                    "UPDATE jobs SET state = 'queued', "
-                    "started_at = NULL, worker = NULL, "
-                    "lease_expires_at = NULL WHERE id = ?", (row["id"],))
-        # 3. sharded jobs past their budget (in-process runs enforce
-        # their own): fail them and dissolve their shard leases, so each
+        # 2. sharded jobs past their budget (pipelines enforce their
+        # own): fail them and dissolve their shard leases, so each
         # worker's next heartbeat stops it; done shards stay journaled
         failed = []
         rows = conn.execute(
@@ -446,7 +418,7 @@ class JobStore:
                 "UPDATE shards SET state = 'queued', worker = NULL, "
                 "lease_expires_at = NULL WHERE job_id = ? "
                 "AND state = 'leased'", (row["id"],))
-        # 4. cancelled sharded jobs whose workers have all let go: the
+        # 3. cancelled sharded jobs whose workers have all let go: the
         # job can settle once no shard lease is live and work remains
         rows = conn.execute(
             "SELECT id FROM jobs WHERE state = 'running' "
@@ -457,15 +429,15 @@ class JobStore:
             "AND NOT EXISTS (SELECT 1 FROM shards "
             "                WHERE shards.job_id = jobs.id "
             "                AND shards.state = 'leased')").fetchall()
-        for row in rows:
-            cancelled.append(int(row["id"]))
+        cancelled = [int(row["id"]) for row in rows]
+        for job_id in cancelled:
             conn.execute(
                 "UPDATE jobs SET state = 'cancelled', finished_at = ?, "
                 "error = ? WHERE id = ?",
                 (now, "cancelled between work units; completed units "
-                      "are journaled — requeue to continue", row["id"]))
-        return {"jobs": requeued, "shards": released,
-                "cancelled": cancelled, "failed": failed}
+                      "are journaled — requeue to continue", job_id))
+        return {"shards": released, "cancelled": cancelled,
+                "failed": failed}
 
     # -- shard claiming ------------------------------------------------------
     def claim_shard(self, worker: str, lease_seconds: float,
@@ -477,14 +449,14 @@ class JobStore:
         Preference order: an open shard of a job already running sharded
         (so in-flight jobs finish before new ones start), else the best
         ``queued`` job — *plan* maps it to ``(total_units,
-        units_per_claim)`` (or ``None``: not remotely claimable, e.g. a
-        pipeline job, which only the in-process scheduler runs) and its
-        shard rows are created on first claim.  Expired leases are
-        reaped first, so a dead worker's shard is handed out by the very
-        next claim.  ``max_units`` caps the claim for workers that pace
-        themselves from units/s telemetry: a wider shard is split, the
-        remainder re-queued for the next claim.  Returns
-        ``(job, (lo, hi))`` or ``None`` when no claimable work exists.
+        units_per_claim)`` (or ``None`` for a pipeline job, which only
+        the daemon's scheduler runs) and its shard rows are created on
+        first claim.  Expired leases are reaped first, so a dead
+        worker's shard is handed out by the very next claim.
+        ``max_units`` caps the claim for workers that pace themselves
+        from units/s telemetry: a wider shard is split, the remainder
+        re-queued for the next claim.  Returns ``(job, (lo, hi))`` or
+        ``None`` when no claimable work exists.
         """
         now = time.time()
         with self._connect() as conn:
@@ -526,10 +498,10 @@ class JobStore:
         """Shard the best claimable queued job; return its first shard."""
         for job_row in conn.execute(
                 "SELECT * FROM jobs WHERE state = 'queued' "
-                "ORDER BY priority DESC, id"):
+                "ORDER BY priority DESC, id").fetchall():
             layout = plan(Job._from_row(job_row))
             if layout is None:
-                continue  # pipeline & co: in-process scheduler only
+                continue  # a pipeline: the daemon's scheduler runs it
             job_id = int(job_row["id"])
             total, per_claim = int(layout[0]), max(1, int(layout[1]))
             existing = conn.execute(
@@ -543,14 +515,17 @@ class JobStore:
                         (job_id, lo, min(lo + per_claim, total)))
             conn.execute(
                 "UPDATE jobs SET state = 'running', started_at = ?, "
-                "attempts = attempts + 1, worker = NULL, "
-                "lease_expires_at = NULL WHERE id = ?", (now, job_id))
+                "attempts = attempts + 1 WHERE id = ?", (now, job_id))
             # a re-queued sharded job reuses its rows: 'done' shards
             # stay done (their units are journaled), the rest re-run
-            return conn.execute(
+            row = conn.execute(
                 "SELECT job_id, lo, hi FROM shards WHERE job_id = ? "
                 "AND state = 'queued' ORDER BY lo LIMIT 1",
                 (job_id,)).fetchone()
+            if row is not None:
+                return row
+            # every shard is done: running again, the job awaits its
+            # merge, and the claim goes on to the next queued job
         return None
 
     def extend_shards(self, job_id: int, total: int,
@@ -681,11 +656,12 @@ class JobStore:
     def request_cancel(self, job_id: int) -> Job:
         """Cancel a job: immediately if queued, cooperatively if running.
 
-        A running job's executor polls :meth:`cancel_requested` (or
-        :meth:`heartbeat`) between work units; completed units stay
-        journaled, so a cancelled job that is later re-queued resumes
-        rather than restarts.  Cancelling a job already in a terminal
-        state raises — the check happens inside the claiming
+        A running job's workers see the flag on their next
+        :meth:`heartbeat` (a pipeline's scheduler polls
+        :meth:`cancel_requested`) between work units; completed units
+        stay journaled, so a cancelled job that is later re-queued
+        resumes rather than restarts.  Cancelling a job already in a
+        terminal state raises — the check happens inside the claiming
         transaction, so a job finishing concurrently can never be
         stamped ``cancel_requested`` after the fact (the caller gets the
         409, not a silent no-op).
@@ -736,8 +712,7 @@ class JobStore:
             conn.execute("BEGIN IMMEDIATE")
             conn.execute(
                 "UPDATE jobs SET state = 'queued', started_at = NULL, "
-                "finished_at = NULL, error = NULL, cancel_requested = 0, "
-                "worker = NULL, lease_expires_at = NULL "
+                "finished_at = NULL, error = NULL, cancel_requested = 0 "
                 "WHERE id = ?", (int(job_id),))
             # any stale shard lease dissolves with the requeue; 'done'
             # shards keep their state (their units are journaled)

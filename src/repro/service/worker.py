@@ -2,19 +2,23 @@
 
 ``python -m repro worker --url http://coordinator:8765`` turns any
 machine with this package into an injection-fleet member — the paper's
-12-node ModelSim cluster shape, with zero shared filesystem.  The
-protocol is lease-based pull:
+12-node ModelSim cluster shape, with zero shared filesystem.  It is
+also how a daemon runs pvf/rtl jobs itself: an executing
+:class:`~repro.service.api.ServiceDaemon` runs one worker on a thread,
+pointed at its own URL.  The protocol is lease-based pull:
 
-1. ``POST /claim`` leases the next unit shard ``[lo, hi)`` of a
-   claimable pvf/rtl job.
+1. ``POST /claim`` leases the next unit shard ``[lo, hi)`` of a pvf/rtl
+   job.
 2. The worker re-plans the job's deterministic seed-indexed units from
    the job parameters alone (:func:`repro.service.scheduler.run_job_units`)
-   and executes only its shard.  Between units it heartbeats; the
-   response carries ``cancel_requested``, which is how cooperative
-   cancellation reaches remote machines.
-3. ``POST /jobs/<id>/units`` delivers the per-unit reports; the daemon
-   journals them and merges all shards in unit-index order — the merged
-   report is bit-identical to a single-process run.
+   and executes only its shard, on a pool of the job's ``jobs``
+   processes.  Between units it heartbeats; the response carries
+   ``cancel_requested``, which is how cooperative cancellation (and an
+   exhausted budget) reaches the worker.
+3. ``POST /jobs/<id>/units`` delivers the per-unit reports and their
+   telemetry rows; the daemon journals them and merges all shards in
+   unit-index order — the merged report is bit-identical to a
+   single-process run.
 
 Crash story: a SIGKILLed worker simply stops heartbeating.  Its lease
 expires, the daemon's reaper hands the shard to a surviving worker, and
@@ -33,6 +37,7 @@ import threading
 import time
 from typing import Optional
 
+from ..campaign.telemetry import CampaignMetrics
 from ..errors import CampaignCancelled, ServiceError
 from .client import ServiceClient
 from .scheduler import run_job_units
@@ -110,15 +115,16 @@ class CampaignWorker:
             self._unit_seconds = (self._unit_seconds + per_unit) / 2.0
 
     # -- one claim ----------------------------------------------------------
-    def run_once(self) -> Optional[dict]:
+    def run_once(self, stop: Optional[threading.Event] = None
+                 ) -> Optional[dict]:
         """Claim and execute at most one shard.
 
         Returns ``None`` when the service had no claimable work, else a
         summary dict whose ``outcome`` is one of ``delivered``,
-        ``released`` (cooperative cancel), ``lease-lost`` (results
-        dropped), ``rejected`` (delivery refused — typically the lease
-        expired mid-shard) or ``failed`` (the campaign raised; the job
-        was failed via the service).
+        ``released`` (cooperative cancel, or *stop* set mid-shard),
+        ``lease-lost`` (results dropped), ``rejected`` (delivery refused
+        — typically the lease expired mid-shard) or ``failed`` (the
+        campaign raised; the job was failed via the service).
         """
         claim = self.client.claim(self.name, self.lease_seconds,
                                   max_units=self.target_units())
@@ -138,6 +144,9 @@ class CampaignWorker:
         def cancel() -> bool:
             if state["lost"] or state["cancelled"]:
                 return True
+            if stop is not None and stop.is_set():
+                state["cancelled"] = True  # hand the shard back
+                return True
             now = time.monotonic()
             if now - state["last_beat"] < beat_every:
                 return False
@@ -156,10 +165,11 @@ class CampaignWorker:
                 return True
             return False
 
+        metrics = CampaignMetrics(f"{job['kind']}/job-{job_id}")
         started = time.monotonic()
         try:
             reports = run_job_units(job["kind"], job["params"], lo, hi,
-                                    cancel=cancel)
+                                    cancel=cancel, metrics=metrics)
         except CampaignCancelled:
             if state["lost"]:
                 return dict(summary, outcome="lease-lost")
@@ -180,8 +190,9 @@ class CampaignWorker:
             return dict(summary, outcome="failed", error=str(exc))
         self._observe_units(hi - lo, time.monotonic() - started)
         try:
-            delivered = self.client.post_units(job_id, self.name, lo,
-                                               reports)
+            delivered = self.client.post_units(
+                job_id, self.name, lo, reports,
+                units=[unit.to_dict() for unit in metrics.units])
         except ServiceError as exc:
             self._log(f"delivery rejected for job {job_id}: {exc}")
             return dict(summary, outcome="rejected", error=str(exc))
@@ -210,7 +221,7 @@ class CampaignWorker:
             if max_claims is not None and claims >= max_claims:
                 break
             try:
-                summary = self.run_once()
+                summary = self.run_once(stop)
             except ServiceError as exc:
                 self._log(f"service unreachable ({exc}); retrying in "
                           f"{backoff:.1f}s")

@@ -1,12 +1,15 @@
-"""Every job kind writes the same bytes in-process and sharded.
+"""Every job kind writes the direct run's bytes on both service paths.
 
-One job runs in-process through :func:`execute_job`; the same job runs
-as worker shards — :func:`run_job_units` results delivered through
-:meth:`CampaignService.post_units` and merged by
-:func:`finalize_sharded_job`.  Both must write byte-identical
-``report.json`` (and ``signature.json``) over journals with the same
-header.  Adaptive jobs move their shard horizon as results land, so the
-shard loop keeps claiming until the coordinator hands out no more work.
+The reference is a direct run of the job's campaign spec
+(``job_spec(kind, params).run()``) merged into ``report.json``, with the
+journal header ``spec.journal`` writes.  The same job then runs
+in-process — an executing :class:`ServiceDaemon`, whose local worker
+claims it shard by shard — and sharded by hand: :func:`run_job_units`
+results delivered through :meth:`CampaignService.post_units` and merged
+by :func:`finalize_sharded_job`.  Both must write the reference
+``report.json`` (and ``signature.json``) bytes over a journal with the
+reference header.  Adaptive jobs move their shard horizon as results
+land, so the shard loop keeps claiming until no work is left.
 """
 
 import json
@@ -14,7 +17,7 @@ import time
 
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import BudgetExceeded, ServiceError
 from repro.service import (
     ApiError,
     CampaignService,
@@ -23,9 +26,14 @@ from repro.service import (
     Scheduler,
     ServiceClient,
     ServiceDaemon,
-    execute_job,
     normalize_params,
     run_job_units,
+)
+from repro.service.scheduler import (
+    _controller,
+    _job_result,
+    job_spec,
+    spec_journal,
 )
 
 _RTL = {"opcode": "FADD", "module": "fp32", "range": "M", "faults": 30,
@@ -47,12 +55,27 @@ JOBS = {
 }
 
 
-def _in_process(tmp_path, kind, params):
-    store = JobStore(tmp_path / "in-process.sqlite3")
-    store.submit(kind, normalize_params(kind, params))
-    jobdir = tmp_path / "in-process"
-    execute_job(store.claim_next(), jobdir, store=store)
+def _direct(tmp_path, kind, params):
+    params = normalize_params(kind, params)
+    spec = job_spec(kind, params)
+    controller = _controller(spec, params)
+    jobdir = tmp_path / "direct"
+    jobdir.mkdir()
+    result = _job_result(params, spec, spec.run(adaptive=controller),
+                         controller, jobdir)
+    (jobdir / "report.json").write_text(json.dumps(result, indent=2)
+                                        + "\n")
+    spec_journal(spec, jobdir).close()  # header only
     return jobdir
+
+
+def _in_process(tmp_path, kind, params):
+    with ServiceDaemon(tmp_path / "in-process", port=0, poll_interval=0.05,
+                       quiet=True) as daemon:
+        client = ServiceClient(daemon.url, timeout=30.0)
+        job = client.wait(client.submit(kind, **params)["id"], timeout=240)
+    assert job["state"] == "done", job
+    return daemon.scheduler.jobdir(job["id"])
 
 
 def _sharded(tmp_path, kind, params):
@@ -81,15 +104,16 @@ def _journal_header(jobdir):
 @pytest.mark.parametrize("name", sorted(JOBS))
 def test_in_process_and_sharded_runs_write_the_same_bytes(tmp_path, name):
     kind, params = JOBS[name]
-    direct = _in_process(tmp_path, kind, params)
-    sharded = _sharded(tmp_path, kind, params)
+    direct = _direct(tmp_path, kind, params)
     report = (direct / "report.json").read_bytes()
-    assert (sharded / "report.json").read_bytes() == report
-    assert _journal_header(sharded) == _journal_header(direct)
     result = json.loads(report)
-    if name == "stuck-at":
-        assert ((sharded / "signature.json").read_bytes()
-                == (direct / "signature.json").read_bytes())
+    for jobdir in (_in_process(tmp_path, kind, params),
+                   _sharded(tmp_path, kind, params)):
+        assert (jobdir / "report.json").read_bytes() == report
+        assert _journal_header(jobdir) == _journal_header(direct)
+        if name == "stuck-at":
+            assert ((jobdir / "signature.json").read_bytes()
+                    == (direct / "signature.json").read_bytes())
     if name.startswith("adaptive"):
         assert result["adaptive"]["rounds"] >= 2  # the horizon moved
     if "burst" in name:
@@ -100,17 +124,21 @@ def test_in_process_and_sharded_runs_write_the_same_bytes(tmp_path, name):
 
 
 class TestShardedBudget:
-    """A sharded job's ``budget`` fires at the coordinator, with the
-    in-process run's outcome and message."""
+    """A job's ``budget`` fires at the coordinator, with one outcome and
+    message whichever worker runs the job."""
 
     PARAMS = {"app": "MxM", "injections": 8, "batch_size": 2,
               "budget": 1e-6}
 
     def test_a_drained_job_fails_like_an_in_process_run(self, tmp_path):
-        store = JobStore(tmp_path / "in-process.sqlite3")
-        store.submit("pvf", normalize_params("pvf", self.PARAMS))
-        in_process = Scheduler(store, tmp_path / "in-process").run_once()
-        assert in_process.state == "failed"
+        with ServiceDaemon(tmp_path / "in-process", port=0,
+                           poll_interval=0.05, quiet=True) as daemon:
+            client = ServiceClient(daemon.url, timeout=30.0)
+            in_process = client.wait(client.submit(
+                "pvf", units_per_claim=1, **self.PARAMS)["id"], timeout=60)
+        assert in_process["state"] == "failed"
+        assert in_process["error"] == str(
+            BudgetExceeded.for_job(in_process["id"], 1e-6))
 
         with ServiceDaemon(tmp_path / "svc", port=0, poll_interval=0.05,
                            quiet=True, execute_jobs=False) as daemon:
@@ -123,10 +151,11 @@ class TestShardedBudget:
             # job failed instead of another shard
             assert worker.run_forever(drain=True) == 1
             job = client.job(job_id)
-        assert job_id == in_process.id
+        assert job_id == in_process["id"]
         assert job["state"] == "failed"
-        assert job["error"] == in_process.error
-        assert all(shard["state"] != "leased" for shard in job["shards"])
+        assert job["error"] == in_process["error"]
+        for shards in (job["shards"], in_process["shards"]):
+            assert all(shard["state"] != "leased" for shard in shards)
 
     def test_shard_holders_stop_at_their_next_heartbeat(self, tmp_path):
         store = JobStore(tmp_path / "jobs.sqlite3")
@@ -155,6 +184,74 @@ class TestShardedBudget:
         assert len(journal.read_text().splitlines()) == 2
 
 
+class TestDeliveryValidation:
+    """A delivery must carry exactly its leased shard's units; a stale
+    one is a 409 whatever it carries.  A refused delivery journals
+    nothing and leaves the shard leased."""
+
+    PARAMS = {"app": "MxM", "injections": 8, "batch_size": 2,
+              "units_per_claim": 2}
+
+    @pytest.fixture
+    def service(self, tmp_path):
+        store = JobStore(tmp_path / "jobs.sqlite3")
+        service = CampaignService(
+            store, Scheduler(store, tmp_path, execute_jobs=False))
+        service.submit({"kind": "pvf", "params": self.PARAMS})
+        return service
+
+    @staticmethod
+    def _claim(service, worker):
+        claim = service.claim({"worker": worker})
+        lo, hi = claim["units"]
+        return (claim["job"]["id"], lo,
+                run_job_units("pvf", claim["job"]["params"], lo, hi))
+
+    @staticmethod
+    def _status(service, job_id, payload):
+        with pytest.raises(ApiError) as caught:
+            service.post_units(job_id, payload)
+        return caught.value.status
+
+    @staticmethod
+    def _untouched(service, job_id, states):
+        jobdir = service.scheduler.jobdir(job_id)
+        assert not list(jobdir.glob("*.jsonl")), "a unit was journaled"
+        assert [s["state"] for s in service.store.shards(job_id)] == states
+
+    def test_a_partial_delivery_is_refused(self, service):
+        job_id, lo, reports = self._claim(service, "w0")  # units [0, 2)
+        partial = {"worker": "w0", "lo": lo, "reports": {0: reports[0]}}
+        assert self._status(service, job_id,
+                            dict(partial, worker="late")) == 409
+        assert self._status(service, job_id, partial) == 400
+        self._untouched(service, job_id, ["leased", "queued"])
+
+        # the shard's full delivery and its neighbour's finish the job
+        service.post_units(job_id, dict(partial, reports=reports))
+        _, lo, reports = self._claim(service, "w1")
+        service.post_units(job_id, {"worker": "w1", "lo": lo,
+                                    "reports": reports})
+        assert service.store.get(job_id).state == "done"
+
+    def test_an_over_delivery_is_refused(self, service):
+        job_id, lo, reports = self._claim(service, "w0")
+        extra = run_job_units("pvf", service.store.get(job_id).params, 2, 4)
+        assert self._status(service, job_id, {
+            "worker": "w0", "lo": lo,
+            "reports": {**reports, **extra}}) == 400
+        self._untouched(service, job_id, ["leased", "queued"])
+
+    def test_malformed_unit_telemetry_is_refused(self, service):
+        job_id, lo, reports = self._claim(service, "w0")
+        for units in ("fast", [{"seconds": 1.0}],
+                      [{"index": 7, "seconds": 1.0}]):
+            assert self._status(service, job_id, {
+                "worker": "w0", "lo": lo, "reports": reports,
+                "units": units}) == 400
+        self._untouched(service, job_id, ["leased", "queued"])
+
+
 class TestCoordinatorOnlySubmit:
     """``serve --no-scheduler`` refuses jobs no worker could claim."""
 
@@ -171,11 +268,17 @@ class TestCoordinatorOnlySubmit:
         assert "--no-scheduler" in str(caught.value)
         assert service.store.list_jobs() == []
 
-    def test_empty_campaigns_are_refused(self, service):
-        with pytest.raises(ApiError, match="empty campaigns") as caught:
-            service.submit({"kind": "pvf",
-                            "params": {"app": "MxM", "injections": 0}})
-        assert caught.value.status == 422
+    def test_empty_campaigns_are_refused(self, service, tmp_path):
+        # a 400 on every daemon: every pvf/rtl job has a unit to shard
+        store = JobStore(tmp_path / "executing.sqlite3")
+        executing = CampaignService(store, Scheduler(store, tmp_path))
+        for daemon in (service, executing):
+            for kind, params in (("pvf", {"app": "MxM", "injections": 0}),
+                                 ("rtl", {"faults": 0})):
+                with pytest.raises(ApiError, match=">= 1") as caught:
+                    daemon.submit({"kind": kind, "params": params})
+                assert caught.value.status == 400
+            assert daemon.store.list_jobs() == []
 
     def test_claimable_jobs_are_accepted(self, service):
         for kind, params in JOBS.values():
@@ -205,9 +308,10 @@ class TestCoordinatorOnlySubmit:
 
 
 class TestUnenforceableTimeout:
-    """A daemon runs ``jobs=1`` jobs on its scheduler thread, where the
-    SIGALRM wall-clock guard is a no-op: it must refuse their
-    ``timeout`` rather than accept it silently."""
+    """A daemon runs ``jobs=1`` jobs on its own threads — the local
+    worker's, the pipeline runner's — where the SIGALRM wall-clock guard
+    is a no-op: it must refuse their ``timeout`` rather than accept it
+    silently."""
 
     @pytest.fixture
     def service(self, tmp_path):

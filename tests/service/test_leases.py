@@ -24,15 +24,9 @@ def quarters(total):
 
 
 class TestJobLeases:
-    def test_claim_stamps_worker_and_lease(self, store):
-        store.submit("pvf", {})
-        job = store.claim_next(worker="w1", lease_seconds=30.0)
-        assert job.worker == "w1"
-        assert job.lease_expires_at == pytest.approx(time.time() + 30,
-                                                     abs=5)
-
     def test_in_process_claim_has_no_lease(self, store):
-        store.submit("pvf", {})
+        # a pipeline is claimed whole and never leased
+        store.submit("pipeline", {})
         job = store.claim_next()
         assert job.worker is None
         assert job.lease_expires_at is None
@@ -41,72 +35,67 @@ class TestJobLeases:
         store.submit("pvf", {"tag": "low"})
         store.submit("pvf", {"tag": "high"}, priority=5)
         store.submit("pvf", {"tag": "high2"}, priority=5)
-        order = [store.claim_next().params["tag"] for _ in range(3)]
+        order = [store.claim_shard("w1", 30.0, quarters(1))[0]
+                 .params["tag"] for _ in range(3)]
         assert order == ["high", "high2", "low"]
-
-    def test_heartbeat_renews_lease(self, store):
-        store.submit("pvf", {})
-        job = store.claim_next(worker="w1", lease_seconds=1.0)
-        renewed = store.heartbeat(job.id, "w1", 60.0)
-        assert renewed.lease_expires_at > job.lease_expires_at
 
     def test_heartbeat_by_stranger_raises(self, store):
         store.submit("pvf", {})
-        job = store.claim_next(worker="w1", lease_seconds=30.0)
+        job, _ = store.claim_shard("w1", 30.0, quarters(1))
         with pytest.raises(ServiceError, match="holds no lease"):
             store.heartbeat(job.id, "w2", 30.0)
 
     def test_heartbeat_carries_cancel_flag(self, store):
         store.submit("pvf", {})
-        job = store.claim_next(worker="w1", lease_seconds=30.0)
+        job, _ = store.claim_shard("w1", 30.0, quarters(1))
         store.request_cancel(job.id)
         assert store.heartbeat(job.id, "w1", 30.0).cancel_requested
 
 
 class TestReaping:
-    def test_expired_job_lease_is_requeued(self, store):
-        store.submit("pvf", {})
-        job = store.claim_next(worker="dead", lease_seconds=30.0)
-        reaped = store.reap(now=time.time() + 60)
-        assert reaped["jobs"] == [job.id]
-        fresh = store.get(job.id)
-        assert fresh.state == "queued"
-        assert fresh.worker is None
-        # the next claimant picks it straight up
-        assert store.claim_next(worker="alive",
-                                lease_seconds=30.0).id == job.id
-
     def test_live_lease_is_left_alone(self, store):
         store.submit("pvf", {})
-        job = store.claim_next(worker="w1", lease_seconds=300.0)
-        assert store.reap() == {"jobs": [], "shards": [],
-                                "cancelled": [], "failed": []}
+        job, _ = store.claim_shard("w1", 300.0, quarters(1))
+        assert store.reap() == {"shards": [], "cancelled": [],
+                                "failed": []}
         assert store.get(job.id).state == "running"
+        assert store.shards(job.id)[0]["state"] == "leased"
 
     def test_expired_lease_with_cancel_lands_cancelled(self, store):
         store.submit("pvf", {})
-        job = store.claim_next(worker="dead", lease_seconds=30.0)
+        job, (lo, _) = store.claim_shard("dead", 30.0, quarters(1))
         store.request_cancel(job.id)
         reaped = store.reap(now=time.time() + 60)
+        assert reaped["shards"] == [(job.id, lo)]
         assert reaped["cancelled"] == [job.id]
         assert store.get(job.id).state == "cancelled"
 
     def test_heartbeat_after_reap_raises(self, store):
         store.submit("pvf", {})
-        job = store.claim_next(worker="dead", lease_seconds=30.0)
+        job, _ = store.claim_shard("dead", 30.0, quarters(1))
         store.reap(now=time.time() + 60)
         with pytest.raises(ServiceError, match="holds no lease"):
             store.heartbeat(job.id, "dead", 30.0)
 
     def test_recover_leaves_leased_jobs_to_the_reaper(self, store):
-        store.submit("pvf", {})
-        store.submit("pvf", {})
-        leased = store.claim_next(worker="remote", lease_seconds=300.0)
-        in_process = store.claim_next()
-        recovered = store.recover()
-        assert [j.id for j in recovered] == [in_process.id]
-        assert store.get(leased.id).state == "running"
-        assert store.get(in_process.id).state == "queued"
+        remote = store.submit("pvf", {})
+        store.claim_shard("remote", 300.0, quarters(1))
+        local = store.submit("pvf", {})
+        store.claim_shard("local", 300.0, quarters(1))
+        idle = store.submit("pvf", {})
+        _, (lo, _) = store.claim_shard("remote", 300.0, quarters(1))
+        store.complete_shard(idle.id, lo, "remote")  # done, unmerged
+        pipeline = store.submit("pipeline", {})
+        store.claim_next()
+        # the restarted daemon's own worker lost its lease; every job
+        # no worker holds goes back to the queue
+        recovered = store.recover("local")
+        assert sorted(j.id for j in recovered) == [local.id, idle.id,
+                                                   pipeline.id]
+        assert store.get(remote.id).state == "running"
+        assert store.shards(remote.id)[0]["state"] == "leased"
+        assert store.shards(local.id)[0]["state"] == "queued"
+        assert store.get(local.id).state == "queued"
 
 
 class TestShardClaiming:
@@ -189,6 +178,19 @@ class TestShardClaiming:
         _, (lo2, _) = store.claim_shard("w2", 30.0, quarters(2))
         assert lo2 == 1
 
+    def test_a_requeued_job_awaiting_its_merge_does_not_block_claims(
+            self, store):
+        done = store.submit("pvf", {})
+        _, (lo, _) = store.claim_shard("w1", 30.0, quarters(1))
+        store.complete_shard(done.id, lo, "w1")
+        store.finish(done.id, "failed", error="boom")
+        store.requeue(done.id)  # every shard done, the merge still due
+        waiting = store.submit("pvf", {})
+        job, (lo, _) = store.claim_shard("w2", 30.0, quarters(1))
+        assert (job.id, lo) == (waiting.id, 0)
+        assert store.get(done.id).state == "running"
+        assert store.sharded_jobs_ready() == [done.id]
+
     def test_sharded_jobs_ready(self, store):
         store.submit("pvf", {})
         job, (lo, _) = store.claim_shard("w1", 30.0, quarters(1))
@@ -232,7 +234,7 @@ class TestWorkerRegistry:
 
     def test_silent_worker_goes_stale(self, store):
         store.submit("pvf", {})
-        store.claim_next(worker="w1", lease_seconds=30.0)
+        store.claim_shard("w1", 30.0, quarters(1))
         (row,) = store.list_workers(alive_within=60.0,
                                     now=time.time() + 3600)
         assert row["alive"] is False

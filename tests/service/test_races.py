@@ -9,7 +9,7 @@ Each class pins one bug:
 * ``TestSchedulerSurvivesStoreErrors`` — a transient
   ``sqlite3.OperationalError`` (WAL lock contention) killed the
   scheduler thread; the daemon kept serving HTTP but never ran another
-  job.
+  pipeline or maintenance pass.
 * ``TestBudgetClassification`` — budget exhaustion surfaced as
   ``CampaignCancelled`` and landed jobs in ``cancelled`` instead of
   ``failed``.
@@ -43,7 +43,7 @@ def store(tmp_path):
 
 class TestCancelFinishRace:
     def test_cancel_after_finish_raises(self, store):
-        store.submit("pvf", {})
+        store.submit("pipeline", {})
         job = store.claim_next()
         store.finish(job.id, "done", result={})
         with pytest.raises(ServiceError, match="already done"):
@@ -51,7 +51,7 @@ class TestCancelFinishRace:
         assert store.get(job.id).cancel_requested is False
 
     def test_finish_after_finish_raises(self, store):
-        store.submit("pvf", {})
+        store.submit("pipeline", {})
         job = store.claim_next()
         store.finish(job.id, "done", result={})
         with pytest.raises(ServiceError, match="already done"):
@@ -70,7 +70,7 @@ class TestCancelFinishRace:
         from contextlib import contextmanager
 
         rival = JobStore(store.path)
-        store.submit("pvf", {})
+        store.submit("pipeline", {})
         job = store.claim_next()
         real_connect = store._connect
 
@@ -109,7 +109,7 @@ class TestCancelFinishRace:
         """
         jobs = []
         for _ in range(24):
-            store.submit("pvf", {})
+            store.submit("pipeline", {})
             jobs.append(store.claim_next().id)
         barrier = threading.Barrier(2)
         refused, lock = [], threading.Lock()
@@ -158,8 +158,7 @@ class TestSchedulerSurvivesStoreErrors:
             real_maintain()
 
         scheduler.maintain = flaky_maintain
-        store.submit("pvf", {**_tiny_pvf_params(), "injections": 4,
-                             "batch_size": 2})
+        store.submit("pipeline", _tiny_pipeline_params())
         stop = threading.Event()
         thread = threading.Thread(target=scheduler.run_forever,
                                   args=(stop,), daemon=True)
@@ -180,6 +179,14 @@ class TestSchedulerSurvivesStoreErrors:
         assert store.get(1).state == "done"
 
 
+def _tiny_pipeline_params(**extra) -> dict:
+    from repro.service import normalize_params
+
+    return normalize_params("pipeline", {
+        "apps": ["MxM"], "models": ["bitflip"], "opcodes": ["FADD"],
+        "grid_faults": 4, "tmxm_faults": 4, "injections": 4, **extra})
+
+
 def _tiny_pvf_params() -> dict:
     from repro.service import normalize_params
 
@@ -193,24 +200,32 @@ class TestBudgetClassification:
 
     def test_blown_budget_lands_failed_not_cancelled(self, store,
                                                      tmp_path):
-        from repro.service import normalize_params
-
-        params = normalize_params(
-            "pvf", {"app": "MxM", "injections": 40, "batch_size": 2,
-                    "budget": 1e-6})
-        store.submit("pvf", params)
-        scheduler = Scheduler(store, tmp_path, quiet=True)
-        job = scheduler.run_once()
+        # a pipeline's budget is checked on the scheduler thread...
+        store.submit("pipeline", _tiny_pipeline_params(budget=1e-6))
+        job = Scheduler(store, tmp_path, quiet=True).run_once()
         assert job.state == "failed"
         assert "budget" in job.error
         assert "requeue" in job.error
+
+        # ...a pvf job's by the reaper, while the local worker runs it
+        from repro.service import ServiceClient
+
+        with ServiceDaemon(tmp_path / "svc", port=0, poll_interval=0.05,
+                           quiet=True) as daemon:
+            client = ServiceClient(daemon.url, timeout=30)
+            job = client.wait(client.submit(
+                "pvf", app="MxM", injections=40, batch_size=2,
+                budget=1e-6)["id"], timeout=60)
+        assert job["state"] == "failed"
+        assert "budget" in job["error"]
+        assert "requeue" in job["error"]
 
     def test_user_cancel_still_raises_cancelled_not_budget(self, store,
                                                            tmp_path):
         from repro.errors import CampaignCancelled
         from repro.service import execute_job
 
-        store.submit("pvf", _tiny_pvf_params())
+        store.submit("pipeline", _tiny_pipeline_params(budget=600))
         running = store.claim_next()
         store.request_cancel(running.id)  # stops at the first unit
         scheduler = Scheduler(store, tmp_path, quiet=True)
@@ -260,7 +275,7 @@ class TestTornTelemetry:
 class TestHealthStaysCheap:
     def test_health_never_loads_job_rows(self, store, tmp_path):
         for _ in range(5):
-            store.submit("pvf", {})
+            store.submit("pipeline", {})
         store.claim_next()
         scheduler = Scheduler(store, tmp_path, quiet=True)
         service = CampaignService(store, scheduler, max_queue_depth=10)
@@ -278,7 +293,7 @@ class TestHealthStaysCheap:
 
     def test_count_states_matches_list_jobs(self, store):
         for _ in range(3):
-            store.submit("pvf", {})
+            store.submit("pipeline", {})
         job = store.claim_next()
         store.finish(job.id, "failed", error="x")
         counts = store.count_states()

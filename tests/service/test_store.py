@@ -1,4 +1,8 @@
-"""Durable job store: lifecycle, atomic claiming, crash recovery."""
+"""Durable job store: lifecycle, atomic claiming, crash recovery.
+
+:meth:`JobStore.claim_next` hands out whole pipeline jobs only, so the
+lifecycle tests below run on pipeline rows.
+"""
 
 import threading
 
@@ -28,10 +32,10 @@ class TestSubmitAndLookup:
             store.get(99)
 
     def test_list_filters_by_state(self, store):
-        store.submit("pvf", {})
+        store.submit("pipeline", {})
         running = store.claim_next()
         store.submit("rtl", {})
-        assert [j.kind for j in store.list_jobs()] == ["pvf", "rtl"]
+        assert [j.kind for j in store.list_jobs()] == ["pipeline", "rtl"]
         assert [j.id for j in store.list_jobs("queued")] == [2]
         assert [j.id for j in store.list_jobs("running")] == [running.id]
 
@@ -53,11 +57,13 @@ class TestSubmitAndLookup:
 
 class TestClaiming:
     def test_claims_oldest_queued_first(self, store):
-        store.submit("pvf", {})
-        store.submit("rtl", {})
+        store.submit("pipeline", {})
+        store.submit("rtl", {})  # workers claim it, in shards
+        store.submit("pipeline", {})
         first = store.claim_next()
         second = store.claim_next()
-        assert (first.id, second.id) == (1, 2)
+        assert (first.id, second.id) == (1, 3)
+        assert store.claim_next() is None
         assert first.state == "running"
         assert first.attempts == 1
         assert first.started_at is not None
@@ -67,7 +73,7 @@ class TestClaiming:
 
     def test_concurrent_claims_never_share_a_job(self, store):
         for _ in range(12):
-            store.submit("pvf", {})
+            store.submit("pipeline", {})
         claimed, lock = [], threading.Lock()
 
         def worker():
@@ -88,7 +94,7 @@ class TestClaiming:
 
 class TestFinish:
     def test_finish_stores_result(self, store):
-        store.submit("pvf", {})
+        store.submit("pipeline", {})
         store.claim_next()
         done = store.finish(1, "done", result={"pvf": 0.5})
         assert done.state == "done"
@@ -96,22 +102,22 @@ class TestFinish:
         assert done.finished_at is not None
 
     def test_finish_stores_error(self, store):
-        store.submit("pvf", {})
+        store.submit("pipeline", {})
         store.claim_next()
         failed = store.finish(1, "failed", error="boom")
         assert failed.state == "failed"
         assert failed.error == "boom"
 
     def test_finish_requires_terminal_state(self, store):
-        store.submit("pvf", {})
+        store.submit("pipeline", {})
         with pytest.raises(ServiceError, match="terminal state"):
             store.finish(1, "queued")
 
 
 class TestRecovery:
     def test_recover_requeues_running_jobs(self, store):
-        store.submit("pvf", {})
-        store.submit("pvf", {})
+        store.submit("pipeline", {})
+        store.submit("pipeline", {})
         store.claim_next()
         recovered = store.recover()
         assert [j.id for j in recovered] == [1]
@@ -122,7 +128,7 @@ class TestRecovery:
         assert store.get(2).state == "queued"  # untouched
 
     def test_recover_honours_pending_cancellation(self, store):
-        store.submit("pvf", {})
+        store.submit("pipeline", {})
         store.claim_next()
         store.request_cancel(1)
         (job,) = store.recover()
@@ -130,19 +136,19 @@ class TestRecovery:
         assert "daemon was down" in job.error
 
     def test_recover_with_nothing_running_is_a_noop(self, store):
-        store.submit("pvf", {})
+        store.submit("pipeline", {})
         assert store.recover() == []
 
 
 class TestCancellation:
     def test_cancel_queued_is_immediate(self, store):
-        store.submit("pvf", {})
+        store.submit("pipeline", {})
         job = store.request_cancel(1)
         assert job.state == "cancelled"
         assert job.error == "cancelled before start"
 
     def test_cancel_running_only_sets_the_flag(self, store):
-        store.submit("pvf", {})
+        store.submit("pipeline", {})
         store.claim_next()
         job = store.request_cancel(1)
         assert job.state == "running"  # executor stops cooperatively
@@ -150,14 +156,14 @@ class TestCancellation:
         assert store.cancel_requested(1) is True
 
     def test_cancel_terminal_raises(self, store):
-        store.submit("pvf", {})
+        store.submit("pipeline", {})
         store.claim_next()
         store.finish(1, "done")
         with pytest.raises(ServiceError, match="already done"):
             store.request_cancel(1)
 
     def test_requeue_resets_cancelled_job(self, store):
-        store.submit("pvf", {})
+        store.submit("pipeline", {})
         store.request_cancel(1)
         job = store.requeue(1)
         assert job.state == "queued"
@@ -165,6 +171,6 @@ class TestCancellation:
         assert job.error is None
 
     def test_requeue_rejects_active_jobs(self, store):
-        store.submit("pvf", {})
+        store.submit("pipeline", {})
         with pytest.raises(ServiceError, match="only failed/cancelled"):
             store.requeue(1)
