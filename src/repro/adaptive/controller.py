@@ -4,11 +4,11 @@ The paper sizes every campaign up front ("<3% margin with 12,000
 faults", Sec. V-B) — each (opcode, range, module) cell gets the same
 fault count no matter how quickly its SDC proportion converges.  The
 :class:`AdaptiveController` replaces that with sequential sampling: it
-watches per-cell Wilson intervals as unit results stream out of
-:func:`repro.campaign.engine.run_units` (the ``observer=`` hook), stops
-a cell once its interval is tight enough, and reallocates the freed
-budget to the cells whose outcome variance still dominates the error
-(Neyman-style stratified allocation).
+folds per-cell Wilson intervals from the unit reports completed so far
+(:meth:`AdaptiveController.replay`), stops a cell once its interval is
+tight enough, and reallocates the freed budget to the cells whose
+outcome variance still dominates the error (Neyman-style stratified
+allocation).
 
 Determinism is non-negotiable: an adaptive campaign must be a **prefix
 of the fixed-size campaign's unit plan**.  The controller therefore
@@ -17,24 +17,17 @@ seed-indexed fixed plan (from :func:`~repro.campaign.engine.plan_units`
 / the cell planners), and scheduling decisions only ever *extend the
 executed prefix*.  Because unit ``i`` always draws child seed ``i`` of
 the cell seed, the merged report of an early-stopped cell is
-bit-identical to a fixed-size run truncated at the same unit horizon,
-and a resumed controller (replaying the journal through the observer)
-reaches exactly the same stop decision.
+bit-identical to a fixed-size run truncated at the same unit horizon.
+:meth:`~AdaptiveController.replay` is the only driver: an in-process
+run, a resumed run and the service's sharded job all feed it the unit
+reports they hold, so each reaches exactly the same stop decision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.stats import wilson_interval
 from ..campaign.engine import WorkUnit
@@ -143,8 +136,7 @@ class _Cell:
         self.key = key
         self.units: List[WorkUnit] = list(units)
         self.sizes = [unit.size for unit in self.units]
-        self.planned = 0    # units handed to the engine so far
-        self.observed = 0   # units whose reports have come back
+        self.planned = 0    # units planned so far
         self.trials = 0
         self.successes = 0
 
@@ -161,28 +153,24 @@ class AdaptiveController:
     """Level-agnostic sequential-sampling controller.
 
     Usage: register every cell with its **full fixed-size unit plan**
-    (:meth:`add_cell`), then alternate :meth:`next_round` (units to
-    execute; empty means stop) with an engine run whose ``observer=``
-    is :meth:`observe`.  Cells may come from either injection level —
-    the controller only needs each unit report to expose
-    ``n_injections``/``n_sdc`` (both :class:`~repro.swfi.campaign.
-    PVFReport` and :class:`~repro.rtl.reports.CampaignReport` do), or a
-    custom ``outcomes`` extractor returning ``(trials, successes)``.
+    (:meth:`add_cell`), then call :meth:`replay` with the unit reports
+    completed so far until it returns True; in between, the planned
+    units without a report (:attr:`planned_units`) are the round to
+    run.  Cells may come from either injection level — the controller
+    only needs each unit report to expose ``n_injections``/``n_sdc``
+    (both :class:`~repro.swfi.campaign.PVFReport` and
+    :class:`~repro.rtl.reports.CampaignReport` do).
 
-    Decisions are pure functions of the observed tallies at round
-    boundaries, so replaying a journal through :meth:`observe`
-    reconstructs the exact round/stop sequence of the interrupted run.
+    Decisions are pure functions of the planned units' reports, so
+    whoever holds them — the in-process loop, a resumed run's journal,
+    a sharded job's journal — re-derives the same round/stop sequence.
     """
 
-    def __init__(self, config: Optional[AdaptiveConfig] = None,
-                 outcomes: Optional[
-                     Callable[[Any], Tuple[int, int]]] = None) -> None:
+    def __init__(self, config: Optional[AdaptiveConfig] = None) -> None:
         self.config = config or AdaptiveConfig()
-        self._outcomes = outcomes or (
-            lambda report: (report.n_injections, report.n_sdc))
         self._cells: Dict[str, _Cell] = {}
         self._by_index: Dict[int, _Cell] = {}
-        self._seen: set = set()
+        self._round: Optional[List[WorkUnit]] = None  # [] once stopped
         self.rounds = 0
 
     # -- plan registration ---------------------------------------------------
@@ -198,41 +186,29 @@ class AdaptiveController:
             self._by_index[unit.index] = cell
         self._cells[key] = cell
 
-    # -- observation (engine observer hook) ----------------------------------
-    def observe(self, unit: WorkUnit, report: Any) -> None:
-        """Fold one in-order unit result into its cell's tallies."""
-        if unit.index in self._seen:
-            raise CampaignError(
-                f"unit {unit.index} observed twice — overlapping rounds?")
-        self._seen.add(unit.index)
-        cell = self._by_index[unit.index]
-        trials, successes = self._outcomes(report)
-        cell.trials += int(trials)
-        cell.successes += int(successes)
-        cell.observed += 1
-        # a replayed journal observes units the controller has not
-        # planned this incarnation: fast-forward the planning cursor
-        if cell.observed > cell.planned:
-            cell.planned = cell.observed
+    # -- the driver ----------------------------------------------------------
+    def replay(self, completed: Mapping[int, Any]) -> bool:
+        """Derive the rounds from the unit reports in *completed*.
 
-    def replay(self, completed: Dict[int, Any]) -> bool:
-        """Re-derive the rounds from journaled unit reports.
-
-        Plans round after round, observing each round's units from
-        *completed*, until the controller stops (returns True) or a
-        planned unit has no report yet (returns False: that round is
-        still in flight, and :attr:`planned_units` is the standing
-        decision).  The service daemon uses this to reach the stop
-        rule of an in-process run from a sharded job's journal.
+        Plans round after round, folding each round's reports from
+        *completed* into its cells' tallies, until the controller stops
+        (returns True) or a planned unit has no report yet (returns
+        False: that round is in flight, and :attr:`planned_units` is the
+        standing decision).  A later call resumes the round in flight,
+        so *completed* may only grow between calls.
         """
-        while True:
-            units = self.next_round()
-            if not units:
-                return True
-            if any(unit.index not in completed for unit in units):
+        if self._round is None:
+            self._round = self._next_round()
+        while self._round:
+            if any(unit.index not in completed for unit in self._round):
                 return False
-            for unit in units:
-                self.observe(unit, completed[unit.index])
+            for unit in self._round:
+                cell = self._by_index[unit.index]
+                report = completed[unit.index]
+                cell.trials += int(report.n_injections)
+                cell.successes += int(report.n_sdc)
+            self._round = self._next_round()
+        return True
 
     # -- per-cell statistics -------------------------------------------------
     def interval(self, key: str) -> Tuple[float, float]:
@@ -270,8 +246,8 @@ class AdaptiveController:
         return [cell for cell in self._cells.values()
                 if not cell.exhausted and not self.converged(cell.key)]
 
-    def next_round(self) -> List[WorkUnit]:
-        """Plan the next engine round; empty means the campaign is done.
+    def _next_round(self) -> List[WorkUnit]:
+        """Plan the next round; empty means the campaign is done.
 
         Warm-up rounds extend every untouched cell to its
         ``min_per_cell`` prefix.  Steady-state rounds give each

@@ -2,18 +2,20 @@
 
 Each runner builds the same :class:`~repro.campaign.spec.CampaignSpec`
 as its fixed-size counterpart and runs it under the sequential-sampling
-:class:`~repro.adaptive.controller.AdaptiveController`: each round the
-controller plans a batch of whole work units (always a prefix extension
-of the fixed seed-indexed plan), the engine executes it with the
-controller as ``observer=``, and the loop repeats until every cell
-converged, exhausted its fixed plan, or spent the budget.
+:class:`~repro.adaptive.controller.AdaptiveController`: the spec run
+replays the unit reports so far through
+:meth:`~repro.adaptive.controller.AdaptiveController.replay`, executes
+the planned units that have none yet (always a prefix extension of the
+fixed seed-indexed plan), and repeats until every cell converged,
+exhausted its fixed plan, or spent the budget.
 
 Because the executed unit set is a prefix of the fixed plan and units
 merge in index order, the merged report of an adaptive run is
 bit-identical to a fixed-size run truncated at the same unit horizon —
 and a journaled adaptive run resumes to the same stop decision: the
-engine replays cached units through the observer, so the controller
-re-derives every round from the same tallies it saw the first time.
+engine hands back the journaled reports of each planned round, so the
+controller replays the same tallies it saw the first time, exactly as
+the service replays a sharded job's journal.
 """
 
 from __future__ import annotations

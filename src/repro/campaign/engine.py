@@ -305,7 +305,6 @@ def run_units(
     state: Any = None,
     checkpoint: Optional[CampaignCheckpoint] = None,
     consume: Optional[Callable[[int, Any], None]] = None,
-    observer: Optional[Callable[[WorkUnit, Any], None]] = None,
     progress: Optional[ProgressReporter] = None,
     metrics: Optional[CampaignMetrics] = None,
     collect: bool = True,
@@ -321,12 +320,7 @@ def run_units(
     Units already present in *checkpoint* are replayed, not re-run; new
     completions are journaled as they land.  ``consume`` receives every
     unit's report **in index order** (replayed ones included) — the
-    streaming hook for per-batch downstream processing.  ``observer``
-    receives ``(unit, report)`` in the same index order (cached units
-    included) — the hook adaptive controllers use to track per-cell
-    tallies without owning the result dict; unlike ``consume`` it is
-    handed the full :class:`WorkUnit`, so it can attribute a report to
-    the cell in ``unit.spec``.  ``collect=False``
+    streaming hook for per-batch downstream processing.  ``collect=False``
     drops reports after checkpoint/consume, bounding memory on huge
     campaigns.  ``metrics`` collects per-unit telemetry (duration,
     queue wait, worker id, cached flag, outcome tallies) and feeds the
@@ -351,16 +345,8 @@ def run_units(
     sizes = {unit.index: unit.size for unit in units}
     results: Dict[int, Any] = {}
     emitter: Optional[_OrderedEmitter] = None
-    if consume is not None or observer is not None:
-        by_index = {unit.index: unit for unit in units}
-
-        def _emit(index: int, report: Any) -> None:
-            if consume is not None:
-                consume(index, report)
-            if observer is not None:
-                observer(by_index[index], report)
-
-        emitter = _OrderedEmitter([u.index for u in units], _emit)
+    if consume is not None:
+        emitter = _OrderedEmitter([u.index for u in units], consume)
     if metrics is not None and metrics.total_units is None:
         metrics.total_units = len(units)
 

@@ -10,8 +10,10 @@ from objects (``repro.rtl.campaign.cell_spec``/``grid_spec``/
 service builds the same specs from a job's normalized parameters.
 :meth:`CampaignSpec.run` executes the whole plan (the public ``run_*``
 functions), a worker's ``[lo, hi)`` shard, or the prefix an adaptive
-controller extends round by round — and every path merges in unit-index
-order, so a campaign serialises to the same bytes whichever path ran it.
+controller's :meth:`~repro.adaptive.controller.AdaptiveController.replay`
+settles on — the same call the service makes on a sharded job's
+journal — and every path merges in unit-index order, so a campaign
+serialises to the same bytes whichever path ran it.
 """
 
 from __future__ import annotations
@@ -108,9 +110,9 @@ class CampaignSpec:
         ``consume``, ``collect``, ``progress``, ``metrics`` and
         ``cancel`` go to :func:`~repro.campaign.engine.run_units`.  With
         an *adaptive* controller (from :meth:`controller`) the run
-        alternates controller rounds with engine runs until the
-        controller stops; the controller then holds the decision record.
-        Returns ``{unit index: report}``.
+        replays the reports so far through it and runs the planned units
+        that have none yet, until the controller stops; the controller
+        then holds the decision record.  Returns ``{unit index: report}``.
         """
         if n_jobs < 1:
             raise CampaignError("n_jobs must be at least 1")
@@ -119,6 +121,10 @@ class CampaignSpec:
                 "a shared injector cannot be used with parallel workers")
         if checkpoint is None and resume:
             raise CampaignError("resume=True requires a checkpoint path")
+        if adaptive is not None and not collect:
+            raise CampaignError(
+                "an adaptive run collects the reports its controller "
+                "replays")
         units = self.units
         if hi is not None:
             if not 0 <= lo < hi <= len(units):
@@ -145,12 +151,10 @@ class CampaignSpec:
                 results = execute(units)
             else:
                 results = {}
-                while True:
-                    round_units = adaptive.next_round()
-                    if not round_units:
-                        break
-                    results.update(execute(round_units,
-                                           observer=adaptive.observe))
+                while not adaptive.replay(results):
+                    results.update(execute(
+                        [unit for unit in adaptive.planned_units
+                         if unit.index not in results]))
                     if metrics is not None:
                         metrics.total_units = None  # adaptive: unknowable
         finally:

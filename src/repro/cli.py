@@ -41,6 +41,7 @@ from .analysis.figures import render_fig3
 from .analysis.stats import margin_of_error
 from .analysis.tables import render_table1
 from .campaign.progress import make_progress
+from .datafiles import DEFAULT_GRID_FAULTS, DEFAULT_SEED, DEFAULT_TMXM_FAULTS
 from .errors import ServiceError
 from .gpu import Opcode
 from .rtl import (
@@ -244,7 +245,8 @@ def _cmd_build_db(args: argparse.Namespace) -> int:
         datafiles.default_database_path()
     path.parent.mkdir(parents=True, exist_ok=True)
     database.save(path)
-    print(f"saved {path}")
+    print(f"saved {path} ({len(database.entries())} entries, "
+          f"{len(database.tmxm_entries())} t-MxM entries)")
     return 0
 
 
@@ -695,10 +697,13 @@ def build_parser() -> argparse.ArgumentParser:
     build_db = sub.add_parser(
         "build-db", parents=[common],
         help="rebuild the shipped syndrome database")
-    build_db.add_argument("--grid-faults", type=int, default=1500)
-    build_db.add_argument("--tmxm-faults", type=int, default=6000)
-    build_db.add_argument("--seed", type=int, default=2021)
-    build_db.add_argument("--output", default=None)
+    build_db.add_argument("--grid-faults", type=int,
+                          default=DEFAULT_GRID_FAULTS)
+    build_db.add_argument("--tmxm-faults", type=int,
+                          default=DEFAULT_TMXM_FAULTS)
+    build_db.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    build_db.add_argument("--output", default=None,
+                          help="database path (default: the shipped one)")
     build_db.set_defaults(func=_cmd_build_db)
 
     pipeline = sub.add_parser(

@@ -7,7 +7,7 @@ full campaign grid once (every characterised opcode x S/M/L x module,
 plus the t-MxM tile campaigns), caches the distilled syndrome database as
 JSON inside the package, and loads it on demand.
 
-``python -m repro.datafiles`` rebuilds the shipped database.
+``python -m repro build-db`` rebuilds the shipped database.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ def default_database_path() -> Path:
 def build_full_database(grid_faults: int = DEFAULT_GRID_FAULTS,
                         tmxm_faults: int = DEFAULT_TMXM_FAULTS,
                         seed: int = DEFAULT_SEED,
-                        verbose: bool = False,
                         n_jobs: int = 1,
                         batch_size: Optional[int] = None,
                         progress: Optional[ProgressReporter] = None
@@ -59,7 +58,7 @@ def build_full_database(grid_faults: int = DEFAULT_GRID_FAULTS,
     """
     injector = None if n_jobs > 1 else RTLInjector()
     if progress is None:
-        progress = make_progress(0, "rtl", quiet=not verbose)
+        progress = make_progress(0, "rtl", quiet=True)
     builder = StreamingDatabaseBuilder()
     progress.status(f"running campaign grid ({grid_faults} faults/cell)")
     run_grid(n_faults=grid_faults, seed=seed, injector=injector,
@@ -85,33 +84,9 @@ def load_database(path: Optional[Path] = None,
     if not allow_build:
         raise FileNotFoundError(
             f"syndrome database not found at {path}; run "
-            "`python -m repro.datafiles` to build it")
+            "`python -m repro build-db` to build it")
     database = build_full_database()
     path.parent.mkdir(parents=True, exist_ok=True)
     database.save(path)
     return database
 
-
-def main() -> None:  # pragma: no cover - CLI entry point
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="(Re)build the shipped syndrome database")
-    parser.add_argument("--grid-faults", type=int,
-                        default=DEFAULT_GRID_FAULTS)
-    parser.add_argument("--tmxm-faults", type=int,
-                        default=DEFAULT_TMXM_FAULTS)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--output", type=Path, default=None)
-    args = parser.parse_args()
-    database = build_full_database(
-        args.grid_faults, args.tmxm_faults, args.seed, verbose=True)
-    path = args.output or default_database_path()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    database.save(path)
-    print(f"saved {path} ({len(database.entries())} entries, "
-          f"{len(database.tmxm_entries())} t-MxM entries)")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -42,11 +42,9 @@ from typing import (
 # ``run_units`` stays a module attribute: perfbench/tracing.py wraps it
 # by name, although specs reach the engine through repro.campaign.spec
 from ..campaign.engine import (  # noqa: F401
-    UnitTimeout,
     WorkUnit,
     plan_batches,
     run_units,
-    wall_clock_limit,
 )
 from ..campaign.progress import ProgressReporter
 from ..campaign.spec import CampaignSpec, Cell
@@ -68,7 +66,6 @@ from ..gpu.isa import (
 )
 from ..gpu.sm import SMConfig
 from ..rng import spawn_seed_range, spawn_seeds
-from .classify import Outcome, RunClassification
 from .faultlist import generate_model_fault_list
 from .injector import RTLInjector
 from .microbench import INPUT_RANGES, Microbenchmark, make_microbenchmark
@@ -310,56 +307,33 @@ def _run_rtl_unit(state: _RTLWorkerState, unit: WorkUnit,
                   vectorize="auto") -> CampaignReport:
     """Engine unit runner: one fault batch against one campaign cell."""
     spec: _CellSpec = unit.spec
-    if _vectorized_unit(spec.module, vectorize, timeout):
+    vectorized = _vectorized_unit(spec.module, vectorize, timeout)
+    if vectorized:
         workload = state.prepared(spec.bench)
         bench, golden = workload.bench, workload.golden
-        faults = generate_model_fault_list(
-            state.injector.plane, spec.module, unit.size, golden.cycles,
-            seed=unit.seed, fault_model=spec.fault_model,
-            kind=spec.fault_kind, burst_width=spec.burst_width,
-            burst_window=spec.burst_window)
-        # non-transient models are routed to the scalar interpreter
-        # inside inject_batch; the batch call stays uniform here
-        classifications = state.vectorized().inject_batch(
-            workload, faults, timeout=timeout)
-        report = CampaignReport(
-            instruction=bench.opcode.value,
-            input_range=bench.input_range,
-            module=spec.module,
-            precision=bench.precision,
-        )
-        for fault, classification in zip(faults, classifications):
-            report.add(
-                state.injector.describe(fault),
-                classification,
-                opcode=bench.opcode.value,
-                value_kind=bench.value_kind,
-            )
-        return report
-    bench, golden = state.bench_and_golden(spec.bench)
+    else:
+        bench, golden = state.bench_and_golden(spec.bench)
     faults = generate_model_fault_list(
         state.injector.plane, spec.module, unit.size, golden.cycles,
         seed=unit.seed, fault_model=spec.fault_model,
         kind=spec.fault_kind, burst_width=spec.burst_width,
         burst_window=spec.burst_window)
+    if vectorized:
+        # non-transient models are routed to the scalar interpreter
+        # inside inject_batch; the batch call stays uniform here
+        classifications = state.vectorized().inject_batch(
+            workload, faults, timeout=timeout)
+    else:
+        classifications = [
+            state.injector.inject_guarded(bench, golden, fault, timeout)
+            for fault in faults]
     report = CampaignReport(
         instruction=bench.opcode.value,
         input_range=bench.input_range,
         module=spec.module,
         precision=bench.precision,
     )
-    for fault in faults:
-        try:
-            with wall_clock_limit(timeout):
-                classification = state.injector.inject(bench, golden,
-                                                       fault)
-        except UnitTimeout:
-            classification = RunClassification(
-                Outcome.DUE,
-                due_reason=f"wall-clock guard: injection exceeded "
-                           f"{timeout:g}s",
-                fault_fired=bool(getattr(fault, "fired", False)),
-            )
+    for fault, classification in zip(faults, classifications):
         report.add(
             state.injector.describe(fault),
             classification,
@@ -376,16 +350,8 @@ def _run_signature_unit(state: _RTLWorkerState, unit: WorkUnit,
     spec: _SignatureSpec = unit.spec
     bench, golden = state.bench_and_golden(spec.bench)
     fault = state.signature_fault(spec)
-    try:
-        with wall_clock_limit(timeout):
-            classification = state.injector.inject(bench, golden, fault)
-    except UnitTimeout:
-        classification = RunClassification(
-            Outcome.DUE,
-            due_reason=f"wall-clock guard: injection exceeded "
-                       f"{timeout:g}s",
-            fault_fired=bool(getattr(fault, "fired", False)),
-        )
+    classification = state.injector.inject_guarded(bench, golden, fault,
+                                                   timeout)
     report = SignatureReport(
         module=spec.module,
         fault_model=spec.fault_model,

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from ..campaign.engine import UnitTimeout, wall_clock_limit
 from ..errors import FaultDecayedError, GpuHardwareError
 from ..gpu.fault_plane import FaultModel
 from ..gpu.sm import (
@@ -102,6 +103,26 @@ class RTLInjector:
             [base for base, _ in bench.output_regions],
             fault_fired=fault.fired,
         )
+
+    def inject_guarded(self, bench: Microbenchmark, golden: GoldenRun,
+                       fault: FaultModel, timeout: Optional[float],
+                       start: Optional[SMCheckpoint] = None
+                       ) -> RunClassification:
+        """:meth:`inject` under a wall-clock guard of *timeout* seconds.
+
+        A run the guard stops is a DUE naming the guard; ``None`` runs
+        unguarded.
+        """
+        try:
+            with wall_clock_limit(timeout):
+                return self.inject(bench, golden, fault, start=start)
+        except UnitTimeout:
+            return RunClassification(
+                Outcome.DUE,
+                due_reason=f"wall-clock guard: injection exceeded "
+                           f"{timeout:g}s",
+                fault_fired=bool(getattr(fault, "fired", False)),
+            )
 
     @staticmethod
     def describe(fault: FaultModel) -> FaultDescriptor:

@@ -57,7 +57,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..campaign.engine import UnitTimeout, wall_clock_limit
 from ..gpu.fault_plane import FaultModel, FaultPlane, TransientFault
 from ..gpu.isa import Opcode
 from ..gpu.sm import SMCheckpoint, StreamingMultiprocessor
@@ -234,8 +233,8 @@ class VectorizedRTLInjector:
                 else:
                     out[index] = classification
         for i, start in self._forks(prepared, faults, scalar):
-            out[i] = self._inject_scalar(prepared, faults[i], timeout,
-                                         start)
+            out[i] = self.injector.inject_guarded(
+                prepared.bench, prepared.golden, faults[i], timeout, start)
         return out  # type: ignore[return-value]
 
     def _forks(self, prepared: PreparedWorkload,
@@ -269,22 +268,6 @@ class VectorizedRTLInjector:
                     next(walk)
                 at, checkpoint = target, self._scratch.checkpoint()
             yield i, checkpoint
-
-    def _inject_scalar(self, prepared: PreparedWorkload,
-                       fault: FaultModel, timeout: Optional[float],
-                       start: Optional[SMCheckpoint]) -> RunClassification:
-        try:
-            with wall_clock_limit(timeout):
-                return self.injector.inject(prepared.bench,
-                                            prepared.golden, fault,
-                                            start=start)
-        except UnitTimeout:
-            return RunClassification(
-                Outcome.DUE,
-                due_reason=f"wall-clock guard: injection exceeded "
-                           f"{timeout:g}s",
-                fault_fired=bool(getattr(fault, "fired", False)),
-            )
 
     # -- lockstep replay ---------------------------------------------------
     def _replay_block(self, prepared: PreparedWorkload,

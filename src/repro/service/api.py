@@ -751,6 +751,7 @@ class ServiceDaemon:
         self._httpd.shutdown()
         self._httpd.server_close()
         http.join(timeout=10)
+        self.store.close()
 
     def wait(self) -> None:
         """Block until interrupted (the CLI foreground mode)."""

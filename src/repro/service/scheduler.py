@@ -412,6 +412,22 @@ def _controller(spec, params: dict):
         if params.get(key) is not None}))
 
 
+def _horizon(spec, params: dict,
+             completed: Callable[[], Dict[int, object]]):
+    """``(units, controller)``: the units a job runs and its controller.
+
+    A fixed-size job runs its whole plan (controller ``None``).  An
+    adaptive job runs the moving horizon its controller settles on
+    after replaying the unit reports ``completed()`` returns; only
+    adaptive jobs call it, so a fixed-size job never reads its journal.
+    """
+    controller = _controller(spec, params)
+    if controller is None:
+        return spec.units, None
+    controller.replay(completed())
+    return controller.planned_units, controller
+
+
 # -- job results --------------------------------------------------------------
 def _pvf_result(params: dict, report) -> dict:
     """The ``report.json`` payload of one finished PVF job."""
@@ -517,11 +533,7 @@ def plan_job_units(job: Job, jobdir: Union[str, Path, None] = None
     if job.kind == "pipeline":
         return None
     spec = job_spec(job.kind, job.params)
-    controller = _controller(spec, job.params)
-    units = spec.units
-    if controller is not None:
-        controller.replay(_journaled(spec, jobdir))
-        units = controller.planned_units
+    units, _ = _horizon(spec, job.params, lambda: _journaled(spec, jobdir))
     return len(units), _per_claim(job.params, len(units))
 
 
@@ -563,11 +575,8 @@ def finalize_sharded_job(store: JobStore, job: Job,
         raise ServiceError(f"job {job.id} is not a sharded job")
     spec = job_spec(job.kind, job.params)
     completed = _journaled(spec, jobdir)
-    controller = _controller(spec, job.params)
-    units = spec.units
+    units, controller = _horizon(spec, job.params, lambda: completed)
     if controller is not None:
-        controller.replay(completed)
-        units = controller.planned_units
         covered = max((s["hi"] for s in store.shards(job.id)), default=0)
         if len(units) > covered:
             added = store.extend_shards(job.id, len(units),

@@ -1,11 +1,12 @@
 """The sequential-sampling controller's pure decision core.
 
-Everything here runs on synthetic unit plans and hand-fed tallies — no
-fault injection.  The invariants under test are the ones the adaptive
-runners and the service's moving-horizon shard planner both rely on:
-decisions are pure functions of the observed tallies, horizons only
-ever extend a prefix of the fixed plan, and a replayed journal
-reconstructs the same round sequence.
+Everything here runs on synthetic unit plans and hand-fed unit reports
+— no fault injection.  The invariants under test are the ones the
+adaptive runners and the service's moving-horizon shard planner both
+rely on, since both drive the controller through
+:meth:`AdaptiveController.replay`: decisions are pure functions of the
+planned units' reports, and horizons only ever extend a prefix of the
+fixed plan.
 """
 
 import types
@@ -89,9 +90,13 @@ class TestHorizons:
         return len(controller.planned_units)
 
     def test_initial_horizon_covers_warm_up(self):
-        assert len(self._controller().next_round()) == 2
-        assert len(self._controller([30] * 10).next_round()) == 4  # 120
-        assert self._controller([]).next_round() == []
+        for sizes, horizon in ((None, 2), ([30] * 10, 4)):  # 4 x 30 = 120
+            controller = self._controller(sizes)
+            assert controller.replay({}) is False
+            assert self._horizon(controller) == horizon
+        empty = self._controller([])
+        assert empty.replay({}) is True
+        assert self._horizon(empty) == 0
 
     def test_no_tallies_yields_warm_up(self):
         controller = self._controller()
@@ -112,16 +117,18 @@ class TestHorizons:
         completed = {i: _report(50, 25) for i in range(len(self.sizes))}
         assert controller.replay(completed) is True
         assert self._horizon(controller) == 40
-        assert controller.next_round() == []
+        assert controller.replay(completed) is True  # stays stopped
+        assert self._horizon(controller) == 40
 
     def test_converged_cell_stops(self):
-        config = AdaptiveConfig(target_ci=0.1, min_per_cell=100)
+        # a 1000-trial warm-up: 20 units, 1000 trials, 500 SDCs
+        config = AdaptiveConfig(target_ci=0.1, min_per_cell=1000)
         low, high = wilson_interval(500, 1000, config.confidence)
         assert high - low <= config.target_ci  # premise of the test
         controller = self._controller(config=config)
-        for unit in _units(self.sizes)[:20]:  # 1000 trials, 500 SDCs
-            controller.observe(unit, _report(50, 25))
-        assert controller.next_round() == []
+        completed = {i: _report(50, 25) for i in range(len(self.sizes))}
+        assert controller.replay(completed) is True
+        assert controller.converged("cell")
         assert self._horizon(controller) == 20
 
     def test_unconverged_cell_extends_by_its_deficit(self):
@@ -132,15 +139,28 @@ class TestHorizons:
                                   1: _report(50, 25)}) is False
         assert self._horizon(controller) == 31
 
+    def test_stepwise_replay_equals_one_shot(self):
+        # the in-process loop replays growing result sets into one
+        # controller; the service replays a whole journal into a fresh one
+        reports = {i: _report(50, 10 + i % 7) for i in range(len(self.sizes))}
+        stepwise = self._controller()
+        completed = {}
+        while not stepwise.replay(completed):
+            for unit in stepwise.planned_units:
+                completed[unit.index] = reports[unit.index]
+        one_shot = self._controller()
+        assert one_shot.replay(reports) is True
+        assert one_shot.planned_units == stepwise.planned_units
+        assert one_shot.rounds == stepwise.rounds
+        assert one_shot.summary() == stepwise.summary()
+
     def test_horizon_sequence_is_monotonic(self):
         controller = self._controller()
-        seen = []
-        while True:
-            round_units = controller.next_round()
-            if not round_units:
-                break
-            for unit in round_units:
-                controller.observe(unit, _report(unit.size, unit.size // 2))
+        completed, seen = {}, []
+        while not controller.replay(completed):
+            for unit in controller.planned_units:
+                completed.setdefault(
+                    unit.index, _report(unit.size, unit.size // 2))
             seen.append(self._horizon(controller))
         assert seen == sorted(seen)
         assert seen[-1] <= len(self.sizes)
@@ -159,58 +179,38 @@ class TestController:
         with pytest.raises(CampaignError):
             controller.add_cell("b", _units([10] * 3))  # same indices
 
-    def test_double_observation_rejected(self):
-        controller = AdaptiveController(
-            AdaptiveConfig(target_ci=0.5, min_per_cell=10))
-        units = _units([10] * 3)
-        controller.add_cell("a", units)
-        controller.observe(units[0], _report(10, 2))
-        with pytest.raises(CampaignError):
-            controller.observe(units[0], _report(10, 2))
-
     def test_warm_up_round_covers_min_per_cell(self):
         config = AdaptiveConfig(target_ci=0.05, min_per_cell=30)
         controller = AdaptiveController(config)
         controller.add_cell("a", _units([10] * 20))
         controller.add_cell("b", _units([10] * 20, base=20))
-        first = controller.next_round()
-        assert [u.index for u in first] == [0, 1, 2, 20, 21, 22]
+        assert controller.replay({}) is False
+        assert [u.index for u in controller.planned_units] == [
+            0, 1, 2, 20, 21, 22]
         assert controller.rounds == 1
         assert controller.planned_injections == 60
 
     def test_converged_campaign_returns_empty_round(self):
         config = AdaptiveConfig(target_ci=0.9, min_per_cell=10)
         controller = AdaptiveController(config)
-        units = _units([10] * 5)
-        controller.add_cell("a", units)
-        first = controller.next_round()
-        for unit in first:
-            controller.observe(unit, _report(10, 5))
+        controller.add_cell("a", _units([10] * 5))
+        assert controller.replay({}) is False
+        assert [u.index for u in controller.planned_units] == [0]
+        assert controller.replay({0: _report(10, 5)}) is True
         assert controller.converged("a")
-        assert controller.next_round() == []
         assert controller.rounds == 1
-
-    def test_journal_replay_fast_forwards_planning(self):
-        # a resumed controller observes units it never planned this
-        # incarnation; the cursor follows so re-planning stays a prefix
-        config = AdaptiveConfig(target_ci=0.9, min_per_cell=10)
-        controller = AdaptiveController(config)
-        units = _units([10] * 5)
-        controller.add_cell("a", units)
-        controller.observe(units[0], _report(10, 5))
-        cell = controller._cells["a"]
-        assert cell.planned == cell.observed == 1
 
     def test_budget_caps_the_warm_up(self):
         config = AdaptiveConfig(target_ci=0.05, min_per_cell=30,
                                 budget=25)
         controller = AdaptiveController(config)
         controller.add_cell("a", _units([10] * 20))
-        first = controller.next_round()
+        assert controller.replay({}) is False
+        first = controller.planned_units
         assert sum(u.size for u in first) == 30  # whole units only
-        for unit in first:
-            controller.observe(unit, _report(10, 5))
-        assert controller.next_round() == []  # budget spent
+        completed = {unit.index: _report(10, 5) for unit in first}
+        assert controller.replay(completed) is True  # budget spent
+        assert controller.planned_units == first
 
     def _pressured(self, strategy):
         # two unconverged cells fighting over a too-small budget: "a"
@@ -222,14 +222,14 @@ class TestController:
         b = _units([10] * 100, base=100)
         controller.add_cell("a", a)
         controller.add_cell("b", b)
-        for unit in controller.next_round():
-            cell = "a" if unit.index < 100 else "b"
-            controller.observe(
-                unit, _report(10, 5 if cell == "a" else 0))
-        round_units = controller.next_round()
+        assert controller.replay({}) is False
+        warm_up = {unit.index: _report(10, 5 if unit.index < 100 else 0)
+                   for unit in controller.planned_units}
+        assert controller.replay(warm_up) is False
         taken = {"a": 0, "b": 0}
-        for unit in round_units:
-            taken["a" if unit.index < 100 else "b"] += 1
+        for unit in controller.planned_units:
+            if unit.index not in warm_up:
+                taken["a" if unit.index < 100 else "b"] += 1
         return taken
 
     def test_neyman_weights_high_variance_cells(self):
@@ -243,10 +243,9 @@ class TestController:
     def test_summary_shape(self):
         config = AdaptiveConfig(target_ci=0.9, min_per_cell=10)
         controller = AdaptiveController(config)
-        units = _units([10] * 5)
-        controller.add_cell("a", units)
-        for unit in controller.next_round():
-            controller.observe(unit, _report(10, 3))
+        controller.add_cell("a", _units([10] * 5))
+        assert controller.replay({}) is False
+        assert controller.replay({0: _report(10, 3)}) is True
         (entry,) = controller.summary()
         assert entry["cell"] == "a"
         assert entry["trials"] == 10 and entry["sdc"] == 3
@@ -255,13 +254,3 @@ class TestController:
         assert entry["exhausted"] is False
         assert entry["ci_width"] == pytest.approx(
             entry["ci_high"] - entry["ci_low"])
-
-    def test_custom_outcomes_extractor(self):
-        controller = AdaptiveController(
-            AdaptiveConfig(target_ci=0.9, min_per_cell=10),
-            outcomes=lambda r: (r["n"], r["bad"]))
-        units = _units([10] * 2)
-        controller.add_cell("a", units)
-        controller.observe(units[0], {"n": 10, "bad": 4})
-        assert controller._cells["a"].trials == 10
-        assert controller._cells["a"].successes == 4

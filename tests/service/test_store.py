@@ -48,6 +48,13 @@ class TestSubmitAndLookup:
         reopened = JobStore(tmp_path / "jobs.sqlite3")
         assert reopened.get(1).params == {"seed": 3}
 
+    def test_the_write_ahead_log_outlives_each_call(self, store, tmp_path):
+        # closing the last connection to a WAL database checkpoints and
+        # deletes the log, with fsyncs: the store's idle connection keeps
+        # that cost off every call
+        store.submit("pvf", {})
+        assert (tmp_path / "jobs.sqlite3-wal").exists()
+
     def test_to_dict_is_json_ready(self, store):
         payload = store.submit("pvf", {"seed": 1}).to_dict()
         assert payload["state"] == "queued"

@@ -78,7 +78,8 @@ class TestDatafiles:
     def test_missing_without_build_raises(self, tmp_path):
         from repro.datafiles import load_database
 
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(FileNotFoundError,
+                           match="`python -m repro build-db`"):
             load_database(tmp_path / "missing.json", allow_build=False)
 
     def test_shipped_database_loads(self):
