@@ -52,7 +52,7 @@ def test_mixed_precision(benchmark):
             grids[precision] = run_grid(
                 opcodes=FLOAT_OPCODES, input_ranges=("S", "M", "L"),
                 n_faults=grid_faults, seed=2021, precision=precision,
-                vectorize="auto")
+                vectorize=True)
             timings[precision] = time.perf_counter() - t0
         return grids
 

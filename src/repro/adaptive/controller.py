@@ -249,8 +249,8 @@ class AdaptiveController:
     def _next_round(self) -> List[WorkUnit]:
         """Plan the next round; empty means the campaign is done.
 
-        Warm-up rounds extend every untouched cell to its
-        ``min_per_cell`` prefix.  Steady-state rounds give each
+        Warm-up rounds extend every untouched cell with units left to
+        its ``min_per_cell`` prefix.  Steady-state rounds give each
         unconverged cell its estimated deficit; when the remaining
         budget cannot cover the total deficit it is split by the
         configured strategy (Neyman variance weights or uniformly) —
@@ -262,7 +262,8 @@ class AdaptiveController:
             return []
         units: List[WorkUnit] = []
 
-        fresh = [cell for cell in self._cells.values() if cell.planned == 0]
+        fresh = [cell for cell in self._cells.values()
+                 if cell.planned == 0 and not cell.exhausted]
         if fresh:
             for cell in fresh:
                 if remaining <= 0:

@@ -136,7 +136,7 @@ def run_adaptive_campaign(
     metrics: Optional[CampaignMetrics] = None,
     cancel: Optional[Callable[[], bool]] = None,
     sm_config=None,
-    vectorize="auto",
+    vectorize: bool = True,
 ) -> AdaptiveResult:
     """Adaptive single-cell RTL campaign: inject into one
     ``(bench, module)`` cell until its SDC interval converges.
@@ -148,6 +148,8 @@ def run_adaptive_campaign(
     truncated at the same unit horizon.  ``batch_size`` defaults to
     :data:`DEFAULT_BATCH_SIZE` rather than a single whole-campaign
     unit, for the same reason as :func:`run_adaptive_grid`.
+    ``vectorize`` and ``timeout`` mean what they mean to ``run_campaign``:
+    the batch engine by default, ``False`` for the reference loop.
     """
     from ..rtl.campaign import cell_spec
 
@@ -176,7 +178,7 @@ def run_adaptive_grid(
     metrics: Optional[CampaignMetrics] = None,
     cancel: Optional[Callable[[], bool]] = None,
     sm_config=None,
-    vectorize="auto",
+    vectorize: bool = True,
     precision: str = "fp32",
 ) -> AdaptiveResult:
     """Adaptive RTL campaign grid: per-cell sequential sampling.
@@ -188,7 +190,8 @@ def run_adaptive_grid(
     :data:`DEFAULT_BATCH_SIZE` rather than one-unit-per-cell: adaptive
     stopping needs units finer than whole cells to have anything to
     decide between rounds.  Per-cell merged reports are bit-identical
-    to a fixed grid truncated at the same unit horizons.
+    to a fixed grid truncated at the same unit horizons, whichever
+    engine ``vectorize`` selects (default True: the batch engine).
     """
     from ..gpu.isa import CHARACTERIZED_OPCODES
     from ..rtl.campaign import grid_spec

@@ -54,8 +54,9 @@ PIPELINE_KIND = "pipeline-metrics"
 SCHEMA_VERSION = 1
 
 #: Outcome attribute names sniffed off any report type that carries them
-#: (both :class:`~repro.rtl.reports.CampaignReport` and
-#: :class:`~repro.swfi.campaign.PVFReport` do).  Derived from the shared
+#: (every unit report does: :class:`~repro.rtl.reports.CampaignReport`,
+#: :class:`~repro.rtl.signatures.SignatureReport` and
+#: :class:`~repro.swfi.campaign.PVFReport`).  Derived from the shared
 #: :class:`~repro.outcomes.Outcome` taxonomy, in enum order.
 _OUTCOME_ATTRS = outcome_attrs()
 
@@ -103,17 +104,13 @@ def _sniff_outcomes(report: Any) -> Dict[str, int]:
 
 
 def _sniff_timeouts(report: Any) -> int:
-    """Count wall-clock-guard DUEs in reports that keep per-record data."""
+    """Wall-clock-guard DUEs of a report that counts them.
+
+    RTL cell and signature reports do (``count_timeouts``); a PVF
+    report keeps outcome tallies only.
+    """
     counter = getattr(report, "count_timeouts", None)
-    if callable(counter):
-        # columnar reports answer without materialising any record
-        return int(counter())
-    count = 0
-    for record in getattr(report, "general", ()) or ():
-        reason = getattr(record, "due_reason", None)
-        if reason and "wall-clock" in reason:
-            count += 1
-    return count
+    return int(counter()) if callable(counter) else 0
 
 
 class CampaignMetrics:

@@ -81,18 +81,16 @@ def _cmd_inventory(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    injector = RTLInjector() if args.jobs == 1 else None
     module = args.module
     if module == "fp32" and args.precision != "fp32":
         # follow the float datapath the precision selects
         module = args.precision
     if args.fault_model == "stuck-at":
-        return _run_signature_cli(args, module, injector)
+        return _run_signature_cli(args, module)
     bench = make_microbenchmark(Opcode(args.opcode), args.range,
                                 seed=args.seed, precision=args.precision)
     report = run_campaign(bench, module, args.faults, seed=args.seed,
-                          injector=injector, n_jobs=args.jobs,
-                          batch_size=args.batch_size,
+                          n_jobs=args.jobs, batch_size=args.batch_size,
                           fault_model=args.fault_model,
                           burst_width=args.burst_width,
                           burst_window=args.burst_window,
@@ -114,11 +112,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_signature_cli(args: argparse.Namespace, module: str,
-                       injector) -> int:
+def _run_signature_cli(args: argparse.Namespace, module: str) -> int:
     report = run_signature_campaign(
         module, args.faults, seed=args.seed, apps=args.apps,
-        injector=injector, n_jobs=args.jobs,
+        n_jobs=args.jobs,
         progress=make_progress(None, "signature", quiet=args.quiet))
     print(f"stuck-at x {module} ({report.n_faults} faults x "
           f"{len(report.apps)} apps, seed {args.seed})")
@@ -145,11 +142,9 @@ def _run_signature_cli(args: argparse.Namespace, module: str,
 
 
 def _cmd_tmxm(args: argparse.Namespace) -> int:
-    injector = RTLInjector() if args.jobs == 1 else None
     bench = make_tmxm_bench(args.tile, seed=args.seed)
     report = run_campaign(bench, args.module, args.faults, seed=args.seed,
-                          injector=injector, n_jobs=args.jobs,
-                          batch_size=args.batch_size,
+                          n_jobs=args.jobs, batch_size=args.batch_size,
                           progress=make_progress(
                               None, "tmxm", quiet=args.quiet))
     entry = tmxm_entry_from_report(report)

@@ -17,7 +17,6 @@ from typing import Optional
 
 from .campaign.progress import ProgressReporter, make_progress
 from .rtl.campaign import run_grid, run_tmxm_grid
-from .rtl.injector import RTLInjector
 from .syndrome.builder import StreamingDatabaseBuilder
 from .syndrome.database import SyndromeDatabase
 
@@ -56,19 +55,18 @@ def build_full_database(grid_faults: int = DEFAULT_GRID_FAULTS,
     campaigns without changing the resulting database: the t-MxM cells
     keep their historical seeds (children of ``seed + 1``).
     """
-    injector = None if n_jobs > 1 else RTLInjector()
     if progress is None:
         progress = make_progress(0, "rtl", quiet=True)
     builder = StreamingDatabaseBuilder()
     progress.status(f"running campaign grid ({grid_faults} faults/cell)")
-    run_grid(n_faults=grid_faults, seed=seed, injector=injector,
-             n_jobs=n_jobs, batch_size=batch_size, progress=progress,
+    run_grid(n_faults=grid_faults, seed=seed, n_jobs=n_jobs,
+             batch_size=batch_size, progress=progress,
              consume=lambda index, report: builder.add_report(report),
              collect=False)
     progress.status(f"running t-MxM campaigns ({tmxm_faults} faults/cell)")
     progress.total, progress.done = None, 0  # fresh counter per stage
-    run_tmxm_grid(n_faults=tmxm_faults, seed=seed + 1, injector=injector,
-                  n_jobs=n_jobs, batch_size=batch_size, progress=progress,
+    run_tmxm_grid(n_faults=tmxm_faults, seed=seed + 1, n_jobs=n_jobs,
+                  batch_size=batch_size, progress=progress,
                   consume=lambda index, report:
                       builder.add_tmxm_report(report),
                   collect=False)

@@ -30,7 +30,8 @@ class Outcome(enum.Enum):
 def outcome_attrs() -> Tuple[Tuple[str, str], ...]:
     """``(outcome key, report attribute)`` pairs, in taxonomy order.
 
-    Both report types expose one ``n_<outcome>`` tally per outcome
+    Every unit report type — ``CampaignReport``, ``SignatureReport``
+    and ``PVFReport`` — exposes one ``n_<outcome>`` tally per outcome
     (``PVFReport.n_sdc``, ``CampaignReport.n_masked``, ...); telemetry
     sniffs them off any report through this single derived table instead
     of maintaining its own copy of the taxonomy.

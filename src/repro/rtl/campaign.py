@@ -53,7 +53,6 @@ from ..errors import CampaignError
 from ..gpu.fault_plane import (
     FAULT_MODELS,
     FaultModel,
-    FaultPlane,
     ModuleName,
     fault_to_dict,
 )
@@ -281,34 +280,18 @@ def _rtl_state(config: Optional[SMConfig] = None) -> _RTLWorkerState:
     return _RTLWorkerState(config=config)
 
 
-def _vectorized_unit(module: str, vectorize,
-                     timeout: Optional[float] = None) -> bool:
-    """Resolve the campaign's ``vectorize`` switch for one cell.
-
-    ``False`` forces the historical scalar path.  ``True`` and ``"auto"``
-    route every trace-resolvable module through the batch engine (which
-    itself falls back to scalar per fault when a fired transient is
-    outside its replayable set); ``register_file`` SRAM faults bypass
-    ``plane.latch`` and therefore always run scalar.  With a wall-clock
-    ``timeout``, ``"auto"`` also stays scalar: the replay engine is
-    schedule-bounded and never trips the per-simulation guard, so only
-    an explicit ``vectorize=True`` opts into its
-    guarded-scalar-fallback-only timeout semantics.
-    """
-    if not vectorize:
-        return False
-    if timeout is not None and vectorize == "auto":
-        return False
-    return module not in FaultPlane.PERSISTENT_STATE_MODULES
-
-
 def _run_rtl_unit(state: _RTLWorkerState, unit: WorkUnit,
                   timeout: Optional[float] = None,
-                  vectorize="auto") -> CampaignReport:
-    """Engine unit runner: one fault batch against one campaign cell."""
+                  vectorize: bool = True) -> CampaignReport:
+    """Engine unit runner: one fault batch against one campaign cell.
+
+    ``vectorize`` runs the batch through
+    :meth:`~repro.rtl.vectorized.VectorizedRTLInjector.inject_batch`,
+    which picks each fault's path itself; ``False`` runs the reference
+    loop, one guarded simulation per fault from cycle 0.
+    """
     spec: _CellSpec = unit.spec
-    vectorized = _vectorized_unit(spec.module, vectorize, timeout)
-    if vectorized:
+    if vectorize:
         workload = state.prepared(spec.bench)
         bench, golden = workload.bench, workload.golden
     else:
@@ -318,9 +301,7 @@ def _run_rtl_unit(state: _RTLWorkerState, unit: WorkUnit,
         seed=unit.seed, fault_model=spec.fault_model,
         kind=spec.fault_kind, burst_width=spec.burst_width,
         burst_window=spec.burst_window)
-    if vectorized:
-        # non-transient models are routed to the scalar interpreter
-        # inside inject_batch; the batch call stays uniform here
+    if vectorize:
         classifications = state.vectorized().inject_batch(
             workload, faults, timeout=timeout)
     else:
@@ -418,7 +399,7 @@ def _plan_cell(spec: _CellSpec, n_faults: int, seed: int,
 
 
 def _rtl_spec(cells: List[Cell], header: dict, timeout: Optional[float],
-              vectorize, config: Optional[SMConfig]) -> CampaignSpec:
+              vectorize: bool, config: Optional[SMConfig]) -> CampaignSpec:
     return CampaignSpec(
         cells=cells, header=header, schema="rtl-report",
         stage=header["campaign"],
@@ -431,7 +412,7 @@ def cell_spec(bench: Microbenchmark, module: str, n_faults: int,
               batch_size: Optional[int] = None,
               timeout: Optional[float] = None,
               config: Optional[SMConfig] = None,
-              vectorize="auto",
+              vectorize: bool = True,
               fault_model: str = "transient",
               burst_width: int = 4,
               burst_window: int = 4) -> CampaignSpec:
@@ -476,7 +457,7 @@ def grid_spec(opcodes: Iterable[Opcode] = CHARACTERIZED_OPCODES,
               batch_size: Optional[int] = None,
               timeout: Optional[float] = None,
               config: Optional[SMConfig] = None,
-              vectorize="auto",
+              vectorize: bool = True,
               precision: str = "fp32") -> CampaignSpec:
     """The spec of an instruction grid: see :func:`run_grid`."""
     opcodes = list(opcodes)
@@ -523,7 +504,7 @@ def tmxm_spec(tile_kinds: Iterable[str] = TILE_KINDS,
               batch_size: Optional[int] = None,
               timeout: Optional[float] = None,
               config: Optional[SMConfig] = None,
-              vectorize="auto") -> CampaignSpec:
+              vectorize: bool = True) -> CampaignSpec:
     """The spec of the t-MxM tile grid: see :func:`run_tmxm_grid`."""
     tile_kinds = list(tile_kinds)
     modules = list(modules)
@@ -695,7 +676,7 @@ def run_campaign(
     metrics: Optional[CampaignMetrics] = None,
     cancel: Optional[Callable[[], bool]] = None,
     config: Optional[SMConfig] = None,
-    vectorize="auto",
+    vectorize: bool = True,
     fault_model: str = "transient",
     burst_width: int = 4,
     burst_window: int = 4,
@@ -714,24 +695,23 @@ def run_campaign(
 
     ``kind`` restricts the fault list to ``"data"`` or ``"control"``
     flip-flops (used by ablation studies); the default samples both.
-    ``vectorize`` selects the fault-parallel batch engine
-    (:mod:`repro.rtl.vectorized`): ``"auto"``/``True`` resolve and
-    replay each batch against one recorded golden trace — bit-identical
-    to the scalar path for a fixed seed — while ``False`` forces the
-    historical one-simulation-per-fault execution.  ``"auto"`` reverts
-    to scalar when ``timeout`` is set (the replay engine is
-    schedule-bounded, so the per-simulation wall-clock guard only
-    applies to its scalar fallbacks; pass ``vectorize=True`` to keep
-    the batch engine anyway).
+    ``vectorize`` (default True) runs every fault batch through the
+    trace-driven batch engine (:mod:`repro.rtl.vectorized`), which
+    resolves unfired transients from one recorded golden trace, replays
+    fired fp32/int transients, and forks every other fault from a golden
+    checkpoint — bit-identical to ``vectorize=False``, the reference
+    loop that re-simulates the SM from cycle 0 once per fault.
     ``batch_size`` shards the fault list into deterministic seed-indexed
     batches that ``n_jobs`` worker processes execute concurrently (each
     worker builds its own SM from *config*; *injector* must be None);
     ``checkpoint``/``resume`` journal finished batches, ``timeout``
-    converts a runaway injection into a DUE.  For a fixed
-    ``(seed, batch_size)`` the merged report is bit-identical across any
-    ``n_jobs`` and any kill/resume boundary.  ``metrics`` collects
-    per-batch telemetry (created automatically for checkpointed runs and
-    written next to the journal); ``n_faults=0`` yields an empty report.
+    bounds each simulated run and turns one that overruns into a DUE
+    (faults resolved from the trace or replayed run no simulation).
+    For a fixed ``(seed, batch_size)`` the merged report is
+    bit-identical across any ``n_jobs`` and any kill/resume boundary.
+    ``metrics`` collects per-batch telemetry (created automatically for
+    checkpointed runs and written next to the journal); ``n_faults=0``
+    yields an empty report.
     """
     spec = cell_spec(bench, module, n_faults, seed, kind,
                      batch_size=batch_size, timeout=timeout, config=config,
@@ -802,7 +782,7 @@ def run_grid(
     collect: bool = True,
     cancel: Optional[Callable[[], bool]] = None,
     config: Optional[SMConfig] = None,
-    vectorize="auto",
+    vectorize: bool = True,
     precision: str = "fp32",
 ) -> List[CampaignReport]:
     """Run the full campaign grid; returns one report per cell.
@@ -817,13 +797,14 @@ def run_grid(
     ``checkpoint``/``resume`` journal finished batches to JSONL;
     ``consume`` streams per-batch reports (in deterministic unit order)
     to a downstream builder, and ``collect=False`` drops them afterwards
-    to bound memory on huge grids.  ``vectorize`` (default ``"auto"``)
-    runs each unit's fault batch through the trace-driven fault-parallel
-    engine, whose merged reports are bit-identical to ``vectorize=False``
-    for the same seed.  ``precision`` re-runs the float-opcode cells in
-    a reduced format: micro-benchmarks sample that format's own S/M/L
-    ranges, programs execute on the fp16/bf16 datapath, and its module
-    replaces ``fp32`` in the grid — non-float cells are unaffected.
+    to bound memory on huge grids.  ``vectorize`` (default True) runs
+    each unit's fault batch through the trace-driven batch engine, with
+    or without a ``timeout``; its merged reports are bit-identical to
+    ``vectorize=False`` (the reference loop) for the same seed.
+    ``precision`` re-runs the float-opcode cells in a reduced format:
+    micro-benchmarks sample that format's own S/M/L ranges, programs
+    execute on the fp16/bf16 datapath, and its module replaces ``fp32``
+    in the grid — non-float cells are unaffected.
     """
     spec = grid_spec(opcodes, input_ranges, modules, n_faults, seed,
                      batch_size=batch_size, timeout=timeout, config=config,
@@ -854,7 +835,7 @@ def run_tmxm_grid(
     collect: bool = True,
     cancel: Optional[Callable[[], bool]] = None,
     config: Optional[SMConfig] = None,
-    vectorize="auto",
+    vectorize: bool = True,
 ) -> List[CampaignReport]:
     """Run the t-MxM tile campaigns (tile kind x module, paper Fig. 7).
 

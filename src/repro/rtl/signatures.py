@@ -112,6 +112,31 @@ class SignatureReport:
     def n_records(self) -> int:
         return len(self.records)
 
+    @property
+    def n_injections(self) -> int:
+        """One injection per (fault, application) record."""
+        return len(self.records)
+
+    def count(self, outcome: Outcome) -> int:
+        return sum(1 for r in self.records if r.outcome is outcome)
+
+    @property
+    def n_masked(self) -> int:
+        return self.count(Outcome.MASKED)
+
+    @property
+    def n_sdc(self) -> int:
+        return self.count(Outcome.SDC)
+
+    @property
+    def n_due(self) -> int:
+        return self.count(Outcome.DUE)
+
+    def count_timeouts(self) -> int:
+        """Wall-clock-guard DUEs (telemetry's sniff path)."""
+        return sum(1 for r in self.records
+                   if r.due_reason and "wall-clock" in r.due_reason)
+
     def per_app_summary(self) -> Dict[str, Dict[str, int]]:
         """Outcome tallies and corrupted-word totals per application."""
         summary: Dict[str, Dict[str, int]] = {}

@@ -31,22 +31,26 @@ batch:
 4. **Divergence ejects to the scalar path.**  Anything the lockstep
    replay cannot express — a predicate vote that changes control flow, a
    predicate activating a lane the golden run never executed, a fired
-   control-module fault, a non-transient model — falls back to
-   :meth:`RTLInjector.inject`, preserving bit-identical classifications
-   by construction rather than by approximation.  A fallback starts
-   from a golden checkpoint instead of cycle 0: one fault-free walk per
-   batch on the scratch SM visits the fallbacks in activation-cycle
-   order and forks each from the last dispatch-loop boundary at or
-   before its activation cycle.  That is exact because no fault model
-   changes a latched value before its activation cycle, and no decay
-   deadline passes before it either; a fault active from cycle 0 keeps
-   the full launch, since the scheduler reset latches before the first
-   boundary.
+   control-module fault, a non-transient model, a ``register_file``
+   fault — falls back to :meth:`RTLInjector.inject`, preserving
+   bit-identical classifications by construction rather than by
+   approximation.  A fallback starts from a golden checkpoint instead
+   of cycle 0: one fault-free walk per batch on the scratch SM visits
+   the fallbacks in activation-cycle order and forks each from the last
+   dispatch-loop boundary at or before its activation cycle.  That is
+   exact because no fault model changes a latched value before its
+   activation cycle, no decay deadline passes before it either, and the
+   register file's SRAM semantics ignore every access before the
+   fault's cycle; a fault active from cycle 0 keeps the full launch,
+   since the scheduler reset latches before the first boundary.
 
 Out-of-bounds addresses computed from corrupted operands classify as
-DUE with exactly the scalar run's ``MemoryFaultError`` message; faults
-in ``register_file`` (SRAM semantics that bypass ``plane.latch``) never
-take the vectorized path at all.
+DUE with exactly the scalar run's ``MemoryFaultError`` message.  This
+engine runs every production RTL cell; :meth:`RTLInjector.inject` from
+cycle 0, once per fault, is the reference it is compared against.  A
+wall-clock ``timeout`` guards each scalar fallback, the only runs that
+simulate: resolved and replayed faults are bounded by the recorded
+schedule.
 """
 
 from __future__ import annotations
@@ -181,17 +185,21 @@ class VectorizedRTLInjector:
                      ) -> List[RunClassification]:
         """Classify every fault; results are in fault-list order.
 
-        ``timeout`` guards the scalar-fallback runs exactly as the scalar
-        campaign path does (lockstep replay itself is bounded by the
-        recorded schedule and needs no guard).
+        Each fault takes one of three paths.  A transient that meets no
+        latch of its register inside its window resolves from the trace
+        as Masked, unfired.  A fired fp32/int (or fp16/bf16) transient
+        replays as a numpy universe.  Every other fault runs as a scalar
+        :meth:`RTLInjector.inject` forked from a golden checkpoint:
+        fired control-module transients, universes the replay ejects,
+        ``register_file`` transients (SRAM semantics that bypass
+        ``plane.latch``, so the trace cannot resolve them), and every
+        non-transient model — the trace resolution and single-flip
+        replay both assume one XOR landing on one latch, while stuck-at
+        and burst faults corrupt arbitrarily many.
 
-        Only :class:`TransientFault` is replayable: the golden-trace
-        fire-site resolution and single-flip universe replay both assume
-        one XOR landing on one latch.  Persistent (stuck-at) and
-        windowed multi-hit (burst) models corrupt arbitrarily many
-        latches, so they are routed to the scalar interpreter
-        explicitly — same classifications, forked from a golden
-        checkpoint like every other scalar fallback.
+        ``timeout`` guards each forked run exactly as the reference loop
+        guards its runs; resolved and replayed faults run no simulation
+        and need no guard.
         """
         out: List[Optional[RunClassification]] = [None] * len(faults)
         recorder = prepared.recorder

@@ -200,6 +200,26 @@ class TestController:
         assert controller.converged("a")
         assert controller.rounds == 1
 
+    def test_an_empty_cell_leaves_the_others_running(self):
+        # a cell without units is exhausted from the start; it must not
+        # hold the campaign in its warm-up, whose empty round would stop
+        # every other cell
+        config = AdaptiveConfig(target_ci=0.05, min_per_cell=20)
+        reports = {i: _report(10, 5) for i in range(50)}
+
+        def summary(*cells):
+            controller = AdaptiveController(config)
+            for key, units in cells:
+                controller.add_cell(key, units)
+            assert controller.replay(reports) is True
+            return {row["cell"]: row for row in controller.summary()}
+
+        b = ("b", _units([10] * 50))
+        with_empty = summary(("empty", []), b)
+        assert with_empty["b"] == summary(b)["b"]
+        assert with_empty["b"]["units"] == 50
+        assert with_empty["empty"]["exhausted"] is True
+
     def test_budget_caps_the_warm_up(self):
         config = AdaptiveConfig(target_ci=0.05, min_per_cell=30,
                                 budget=25)

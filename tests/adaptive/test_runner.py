@@ -111,7 +111,7 @@ class TestRTL:
         scalar = run_adaptive_campaign(bench, "fp32", 60, LOOSE,
                                        vectorize=False, **kwargs)
         vectorized = run_adaptive_campaign(bench, "fp32", 60, LOOSE,
-                                           vectorize="auto", **kwargs)
+                                           vectorize=True, **kwargs)
         assert scalar.reports[0].to_dict() == \
             vectorized.reports[0].to_dict()
         assert scalar.summary == vectorized.summary

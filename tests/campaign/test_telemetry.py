@@ -21,22 +21,20 @@ from repro.campaign.telemetry import (
     resolve_metrics,
 )
 from repro.errors import CampaignError
+from repro.outcomes import Outcome
+from repro.rtl.classify import RunClassification
+from repro.rtl.reports import CampaignReport, FaultDescriptor
+from repro.rtl.signatures import SignatureRecord, SignatureReport
 
 
 class FakeReport:
     """Duck-typed report carrying the sniffed outcome attributes."""
 
-    def __init__(self, masked=0, sdc=0, due=0, general=()):
+    def __init__(self, masked=0, sdc=0, due=0):
         self.n_masked = masked
         self.n_sdc = sdc
         self.n_due = due
         self.n_injections = masked + sdc + due
-        self.general = list(general)
-
-
-class DueRecord:
-    def __init__(self, reason):
-        self.due_reason = reason
 
 
 class TestCollection:
@@ -55,14 +53,22 @@ class TestCollection:
         assert metrics.injections_total() == 50
 
     def test_timeouts_sniffed_from_due_reasons(self):
-        report = FakeReport(due=2, general=[
-            DueRecord("wall-clock guard: work unit exceeded 1s"),
-            DueRecord("illegal value"),
-        ])
+        # both report types that keep per-record DUE reasons count them
+        dues = [RunClassification(Outcome.DUE, due_reason=reason)
+                for reason in ("wall-clock guard: injection exceeded 1s",
+                               "illegal value")]
+        cell = CampaignReport("FADD", "M", "fp32")
+        signature = SignatureReport("fp32", "stuck-at", 1, apps=["a", "b"])
+        for app, due in zip(signature.apps, dues):
+            cell.add(FaultDescriptor("fp32", "r", 0, 0, 0), due,
+                     opcode="FADD", value_kind="f32")
+            signature.add(SignatureRecord.from_classification(0, app, {},
+                                                              due))
         metrics = CampaignMetrics("stage")
-        record = metrics.record_unit(0, report=report)
-        assert record.timeouts == 1
-        assert metrics.timeouts_total() == 1
+        for index, report in enumerate((cell, signature)):
+            assert metrics.record_unit(index, report=report).timeouts == 1
+        assert metrics.timeouts_total() == 2
+        assert metrics.record_unit(2, report=FakeReport(due=2)).timeouts == 0
 
     def test_cached_vs_run_counts(self):
         metrics = CampaignMetrics("stage", total_units=3)

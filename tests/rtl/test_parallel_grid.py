@@ -146,7 +146,7 @@ class TestWallClockGuard:
     def test_timeout_classifies_as_due(self, injector):
         bench = make_microbenchmark(Opcode.FADD, "M", seed=0)
         report = run_campaign(bench, "fp32", 5, seed=0, injector=injector,
-                              timeout=1e-6)
+                              timeout=1e-6, vectorize=False)
         assert report.n_due == 5
         assert all("wall-clock guard" in (r.due_reason or "")
                    for r in report.general)

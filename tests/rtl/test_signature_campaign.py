@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.artifacts import dump_artifact, load_artifact
+from repro.campaign import CampaignMetrics
 from repro.errors import CampaignError
 from repro.outcomes import Outcome
 from repro.rtl import (
@@ -103,6 +104,18 @@ class TestSignatureCampaign:
         with pytest.raises(CampaignError):
             run_signature_campaign("sfu_controller", 2, apps=["FADD/M"],
                                    injector=injector)
+
+    def test_telemetry_counts_every_record(self):
+        # one injection per (fault, app) record: a guard that stops every
+        # run must show in the unit rows as injections, DUEs and timeouts
+        metrics = CampaignMetrics("rtl-signature")
+        report = run_signature_campaign("fp32", 4, seed=1, metrics=metrics,
+                                        timeout=1e-6)
+        assert report.n_records == 12
+        assert metrics.injections_total() == 12
+        assert metrics.outcome_totals() == {"masked": 0, "sdc": 0,
+                                            "due": 12}
+        assert metrics.timeouts_total() == 12
 
     def test_checkpoint_resume_bit_identical(self, injector, report,
                                              tmp_path):

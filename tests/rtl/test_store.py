@@ -1,68 +1,6 @@
-"""Campaign-store persistence tests."""
-
-import json
+"""Adaptive PVF runner smoke tests."""
 
 import pytest
-
-from repro.errors import ReproError
-from repro.rtl.store import CampaignStore
-
-
-@pytest.fixture
-def store(tmp_path, small_reports):
-    store = CampaignStore(tmp_path / "campaigns")
-    store.add_all(small_reports)
-    return store
-
-
-class TestStore:
-    def test_roundtrip(self, store, small_reports):
-        loaded = store.load(store.keys()[0])
-        original = next(
-            r for r in small_reports
-            if CampaignStore._key_for(r) == store.keys()[0])
-        assert loaded.n_injections == original.n_injections
-        assert loaded.n_sdc == original.n_sdc
-        assert len(loaded.detailed) == len(original.detailed)
-
-    def test_index_summary(self, store, small_reports):
-        summary = store.summary()
-        assert len(summary) == len(store)
-        assert all({"key", "instruction", "module", "n_sdc"}
-                   <= set(entry) for entry in summary)
-
-    def test_filtered_loading(self, store):
-        fadds = list(store.load_all(instruction="FADD"))
-        assert fadds and all(r.instruction == "FADD" for r in fadds)
-        fp32 = list(store.load_all(module="fp32", input_range="M"))
-        assert all(r.module == "fp32" and r.input_range == "M"
-                   for r in fp32)
-
-    def test_reopen_preserves_index(self, store):
-        reopened = CampaignStore(store.root)
-        assert reopened.keys() == store.keys()
-
-    def test_overwrite_same_cell(self, store, small_reports):
-        before = len(store)
-        store.add(small_reports[0])  # same key again
-        assert len(store) == before
-
-    def test_missing_key(self, store):
-        with pytest.raises(ReproError):
-            store.load("nope")
-
-    def test_corrupt_index_detected(self, tmp_path):
-        root = tmp_path / "bad"
-        root.mkdir()
-        (root / "index.json").write_text("{broken")
-        with pytest.raises(ReproError):
-            CampaignStore(root)
-
-    def test_database_buildable_from_store(self, store):
-        from repro.syndrome import build_database
-
-        db = build_database(store.load_all())
-        assert db.entries()
 
 
 class TestAdaptiveCampaign:

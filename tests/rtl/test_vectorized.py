@@ -63,6 +63,19 @@ def _count_recomputes(monkeypatch):
     return calls
 
 
+def _count_batches(monkeypatch):
+    """Record the size of every batch ``inject_batch`` classifies."""
+    sizes = []
+    inject_batch = VectorizedRTLInjector.inject_batch
+
+    def spy(self, prepared, faults, *args, **kwargs):
+        sizes.append(len(faults))
+        return inject_batch(self, prepared, faults, *args, **kwargs)
+
+    monkeypatch.setattr(VectorizedRTLInjector, "inject_batch", spy)
+    return sizes
+
+
 def _fmul_sfu_fadd_bench(n_threads=64):
     """``FMUL`` feeds ``FSIN`` and ``FEXP``, whose results feed ``FADD``.
 
@@ -160,7 +173,7 @@ class TestCampaignEquivalence:
         kwargs = dict(opcodes=(Opcode.FADD, Opcode.IADD),
                       input_ranges=("S",), n_faults=25, seed=7)
         scalar = run_grid(vectorize=False, **kwargs)
-        vectorized = run_grid(vectorize="auto", **kwargs)
+        vectorized = run_grid(vectorize=True, **kwargs)
         modules = {r.module for r in scalar}
         assert modules - REPLAY_MODULES, \
             "the grid must include scalar-fallback (control) modules"
@@ -179,33 +192,58 @@ class TestCampaignEquivalence:
                       use_shared_memory=use_shared_memory)
         scalar = run_tmxm_grid(vectorize=False, **kwargs)
         recomputes = _count_recomputes(monkeypatch)
-        vectorized = run_tmxm_grid(vectorize="auto", **kwargs)
+        vectorized = run_tmxm_grid(vectorize=True, **kwargs)
         assert recomputes
         assert [r.to_json() for r in vectorized] == \
             [r.to_json() for r in scalar]
 
-    def test_register_file_cell_stays_scalar_under_auto(self):
+    def test_register_file_cell_runs_through_inject_batch(
+            self, monkeypatch):
         # persistent-state (SRAM) modules bypass the latch plane, so the
-        # trace-driven firing resolution does not apply: "auto" must run
-        # them through the scalar injector and still match exactly
+        # trace cannot resolve them: inject_batch forks every one from a
+        # golden checkpoint, which is exact because the register file
+        # ignores every access before the fault's cycle
         bench = make_microbenchmark(Opcode.IADD, "M", seed=3)
         config = SMConfig(ecc_enabled=False)
         kwargs = dict(module="register_file", n_faults=20, seed=11,
                       config=config)
         scalar = run_campaign(bench, vectorize=False, **kwargs)
-        vectorized = run_campaign(bench, vectorize="auto", **kwargs)
-        assert vectorized.to_dict() == scalar.to_dict()
+        batches = _count_batches(monkeypatch)
+        vectorized = run_campaign(bench, vectorize=True, **kwargs)
+        assert batches == [20]
+        assert vectorized.to_json() == scalar.to_json()
 
-    def test_auto_reverts_to_scalar_under_a_timeout(self):
-        # the replay engine is schedule-bounded and cannot trip the
-        # per-simulation wall-clock guard, so "auto" + timeout must keep
-        # the historical semantics: every injection runs guarded scalar
+    def test_a_timeout_guards_only_simulated_runs(self, monkeypatch):
+        # a pipeline cell holds both faults the trace resolves unfired
+        # and fired faults forked as scalar runs; only the forks simulate
         bench = make_microbenchmark(Opcode.FADD, "M", seed=0)
-        report = run_campaign(bench, module="fp32", n_faults=5, seed=0,
-                              timeout=1e-6, vectorize="auto")
-        assert report.n_due == 5
-        assert all("wall-clock guard" in (r.due_reason or "")
-                   for r in report.general)
+        kwargs = dict(module="pipeline", n_faults=40, seed=0)
+        untimed = run_campaign(bench, **kwargs)
+        batches = _count_batches(monkeypatch)
+        assert run_campaign(bench, timeout=60, **kwargs).to_json() == \
+            untimed.to_json()
+        assert batches == [40]
+        # the guard is armed inside inject_guarded, so a 1us budget may
+        # expire before RTLInjector.inject starts: spy on the entry
+        simulated = []
+        guarded = RTLInjector.inject_guarded
+
+        def spy(self, bench, golden, fault, *args, **kwargs):
+            simulated.append(RTLInjector.describe(fault))
+            return guarded(self, bench, golden, fault, *args, **kwargs)
+
+        monkeypatch.setattr(RTLInjector, "inject_guarded", spy)
+        timed = run_campaign(bench, timeout=1e-6, **kwargs)
+        assert batches == [40, 40]
+        rows = list(zip(timed.general, untimed.general))
+        forked = [(t, u) for t, u in rows if t.fault in simulated]
+        resolved = [(t, u) for t, u in rows if t.fault not in simulated]
+        assert forked and resolved
+        assert any(not u.fault_fired for _, u in resolved)
+        assert all(t.outcome is Outcome.DUE
+                   and t.due_reason.startswith("wall-clock guard")
+                   for t, _ in forked)
+        assert all(t == u for t, u in resolved)
 
     def test_vectorize_flag_reaches_single_cell_campaign(self):
         bench = make_microbenchmark(Opcode.FMUL, "S", seed=2)
@@ -216,13 +254,13 @@ class TestCampaignEquivalence:
 
     def test_burst_campaign_routes_scalar_under_auto(self):
         # non-transient models re-corrupt across the window, which the
-        # single-flip replay engine cannot express: "auto" must hand
-        # every burst to the scalar injector and match it exactly
+        # single-flip replay engine cannot express: the batch engine
+        # must hand every burst to the scalar injector and match it
         bench = make_microbenchmark(Opcode.FADD, "M", seed=5)
         kwargs = dict(module="fp32", n_faults=25, seed=6,
                       fault_model="burst", burst_width=3, burst_window=4)
         scalar = run_campaign(bench, vectorize=False, **kwargs)
-        vectorized = run_campaign(bench, vectorize="auto", **kwargs)
+        vectorized = run_campaign(bench, vectorize=True, **kwargs)
         assert vectorized.to_dict() == scalar.to_dict()
 
     def test_stuck_at_batch_routes_scalar(self):
