@@ -24,7 +24,14 @@ Quickstart::
     report = run_campaign(make_microbenchmark(Opcode.FADD, "M"),
                           module="fp32", n_faults=500, seed=0)
     print(report.avf())
+
+Diagnostics (per-unit campaign progress, pipeline stages, service
+events) are :mod:`logging` events under the ``repro`` logger, silent
+until the application configures logging, e.g.
+``logging.basicConfig(level=logging.INFO)``.
 """
+
+import logging
 
 from . import analysis, apps, gpu, rtl, swfi, syndrome
 from .datafiles import build_full_database, load_database
@@ -44,6 +51,9 @@ from .errors import (
 )
 
 __version__ = "1.0.0"
+
+# a library stays silent unless the application configures logging
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "analysis",

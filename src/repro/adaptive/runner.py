@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Union
 
 from ..campaign.engine import DEFAULT_BATCH_SIZE
-from ..campaign.progress import ProgressReporter
 from ..campaign.telemetry import CampaignMetrics
 from ..errors import CampaignError
 from .controller import AdaptiveConfig
@@ -94,7 +93,6 @@ def run_adaptive_pvf_campaign(
     timeout: Optional[float] = None,
     checkpoint: Optional[Union[str, Path]] = None,
     resume: bool = False,
-    progress: Optional[ProgressReporter] = None,
     metrics: Optional[CampaignMetrics] = None,
     cancel: Optional[Callable[[], bool]] = None,
 ) -> AdaptiveResult:
@@ -115,8 +113,7 @@ def run_adaptive_pvf_campaign(
                     partial(_SwfiState, app, model), seed=seed,
                     batch_size=batch_size, timeout=timeout)
     return _run_adaptive(spec, config, n_jobs=n_jobs, checkpoint=checkpoint,
-                         resume=resume, progress=progress, metrics=metrics,
-                         cancel=cancel)
+                         resume=resume, metrics=metrics, cancel=cancel)
 
 
 def run_adaptive_campaign(
@@ -132,7 +129,6 @@ def run_adaptive_campaign(
     timeout: Optional[float] = None,
     checkpoint: Optional[Union[str, Path]] = None,
     resume: bool = False,
-    progress: Optional[ProgressReporter] = None,
     metrics: Optional[CampaignMetrics] = None,
     cancel: Optional[Callable[[], bool]] = None,
     sm_config=None,
@@ -157,8 +153,7 @@ def run_adaptive_campaign(
                      batch_size=batch_size, timeout=timeout,
                      config=sm_config, vectorize=vectorize)
     return _run_adaptive(spec, config, n_jobs=n_jobs, checkpoint=checkpoint,
-                         resume=resume, progress=progress, metrics=metrics,
-                         cancel=cancel)
+                         resume=resume, metrics=metrics, cancel=cancel)
 
 
 def run_adaptive_grid(
@@ -174,7 +169,6 @@ def run_adaptive_grid(
     timeout: Optional[float] = None,
     checkpoint: Optional[Union[str, Path]] = None,
     resume: bool = False,
-    progress: Optional[ProgressReporter] = None,
     metrics: Optional[CampaignMetrics] = None,
     cancel: Optional[Callable[[], bool]] = None,
     sm_config=None,
@@ -202,5 +196,4 @@ def run_adaptive_grid(
                      config=sm_config, vectorize=vectorize,
                      precision=precision)
     return _run_adaptive(spec, config, n_jobs=n_jobs, checkpoint=checkpoint,
-                         resume=resume, progress=progress, metrics=metrics,
-                         cancel=cancel)
+                         resume=resume, metrics=metrics, cancel=cancel)

@@ -2,10 +2,11 @@
 
 ``engine`` executes deterministic seed-indexed work units over worker
 processes with checkpoint/resume and merge-in-order semantics;
-``checkpoint`` is the JSONL journal; ``progress`` the unified reporter;
-``telemetry`` the per-unit timing/counter collector behind
-``metrics.json`` and ``python -m repro stats``; ``pipeline`` chains RTL
-grid -> syndrome database -> SWFI PVF into one resumable end-to-end run.
+``checkpoint`` is the JSONL journal; ``telemetry`` the per-unit
+timing/counter collector behind ``metrics.json``, ``python -m repro
+stats`` and the engine's per-unit progress lines (INFO on the
+``repro.campaign.engine`` logger); ``pipeline`` chains RTL grid ->
+syndrome database -> SWFI PVF into one resumable end-to-end run.
 """
 
 from .checkpoint import CampaignCheckpoint
@@ -20,7 +21,6 @@ from .engine import (
     run_units,
     wall_clock_limit,
 )
-from .progress import ProgressReporter, make_progress
 from .telemetry import (
     CampaignMetrics,
     UnitRecord,
@@ -36,13 +36,11 @@ __all__ = [
     "CampaignCheckpoint",
     "CampaignMetrics",
     "Mergeable",
-    "ProgressReporter",
     "UnitRecord",
     "UnitTimeout",
     "WorkUnit",
     "discover_metrics",
     "load_metrics",
-    "make_progress",
     "merge_ordered",
     "metrics_path_for",
     "plan_batches",

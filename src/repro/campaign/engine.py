@@ -23,6 +23,10 @@ The engine owns:
   resume.
 * **Per-unit wall-clock DUE guards** — :func:`wall_clock_limit` converts
   a runaway unit into a diagnosable timeout instead of a hung campaign.
+* **Progress** — one INFO line per finished unit on this module's
+  logger, built from the run's
+  :class:`~repro.campaign.telemetry.CampaignMetrics`; silent unless the
+  application configures :mod:`logging` (the CLI does).
 * **Mergeable-report protocol** — reports implement
   :class:`Mergeable` (``merge_in``/``merge``/``to_dict``/``from_dict``);
   :func:`merge_ordered` folds per-unit reports in index order, which is
@@ -31,6 +35,7 @@ The engine owns:
 
 from __future__ import annotations
 
+import logging
 import os
 import signal
 import threading
@@ -59,7 +64,6 @@ except ImportError:  # pragma: no cover
 from ..errors import CampaignCancelled, CampaignError, ReproError
 from ..rng import spawn_seed_range
 from .checkpoint import CampaignCheckpoint
-from .progress import ProgressReporter
 from .telemetry import CampaignMetrics
 
 __all__ = [
@@ -73,6 +77,8 @@ __all__ = [
     "run_units",
     "wall_clock_limit",
 ]
+
+_log = logging.getLogger(__name__)
 
 #: Units per batch when the caller does not choose: small enough to
 #: checkpoint / load-balance at a useful granularity, large enough that
@@ -194,11 +200,13 @@ def wall_clock_limit(seconds: Optional[float],
     """Abort the enclosed block after *seconds* of wall-clock time.
 
     Uses an interval timer (SIGALRM), which covers runaway numpy loops a
-    pure iteration guard cannot interrupt.  Degrades to a no-op when no
-    limit is requested or signals are unavailable (non-main thread,
-    platforms without SIGALRM) — worker processes run units on their
-    main thread, so the guard is active there.  ``make_exception`` maps
-    the budget to the exception to raise (default :class:`UnitTimeout`).
+    pure iteration guard cannot interrupt.  A no-op when no limit is
+    requested.  A limit that cannot be armed — off the main thread, or
+    on a platform without SIGALRM — raises :class:`CampaignError`
+    rather than letting the campaign run unguarded; worker processes
+    run units on their main thread, so ``n_jobs >= 2`` arms it from
+    any thread.  ``make_exception`` maps the budget to the exception to
+    raise (default :class:`UnitTimeout`).
 
     Guards nest: an inner guard saves the outer guard's remaining
     budget and re-arms it on exit, so a pipeline-level guard wrapped
@@ -209,10 +217,17 @@ def wall_clock_limit(seconds: Optional[float],
     if not seconds or seconds <= 0:
         yield
         return
-    if (not hasattr(signal, "SIGALRM")
-            or threading.current_thread() is not threading.main_thread()):
-        yield
-        return
+    if not hasattr(signal, "SIGALRM"):
+        raise CampaignError(
+            f"a {seconds:g}s wall-clock limit cannot be armed: this "
+            f"platform has no SIGALRM; run without a timeout")
+    if threading.current_thread() is not threading.main_thread():
+        raise CampaignError(
+            f"a {seconds:g}s wall-clock limit cannot be armed on thread "
+            f"{threading.current_thread().name!r}: SIGALRM only "
+            f"interrupts the main thread; run the campaign on the main "
+            f"thread, or use n_jobs >= 2 so its units run in worker "
+            f"processes")
 
     def _timed_out(signum, frame):
         if make_exception is not None:
@@ -296,6 +311,15 @@ class _OrderedEmitter:
 
 
 # -- the engine --------------------------------------------------------------
+def _progress_line(metrics: CampaignMetrics, label: str,
+                   cached: bool) -> str:
+    """``[i/N] <stage> <label> (cached) | <heartbeat>`` for one unit."""
+    total = "" if metrics.total_units is None else f"/{metrics.total_units}"
+    parts = [f"[{metrics.units_done}{total}]", metrics.stage, label,
+             "(cached)" if cached else "", f"| {metrics.heartbeat()}"]
+    return " ".join(part for part in parts if part)
+
+
 def run_units(
     units: Sequence[WorkUnit],
     run_unit: Callable[[Any, WorkUnit], Any],
@@ -305,7 +329,6 @@ def run_units(
     state: Any = None,
     checkpoint: Optional[CampaignCheckpoint] = None,
     consume: Optional[Callable[[int, Any], None]] = None,
-    progress: Optional[ProgressReporter] = None,
     metrics: Optional[CampaignMetrics] = None,
     collect: bool = True,
     cancel: Optional[Callable[[], bool]] = None,
@@ -323,8 +346,12 @@ def run_units(
     streaming hook for per-batch downstream processing.  ``collect=False``
     drops reports after checkpoint/consume, bounding memory on huge
     campaigns.  ``metrics`` collects per-unit telemetry (duration,
-    queue wait, worker id, cached flag, outcome tallies) and feeds the
-    progress heartbeat; it never touches the campaign's randomness.
+    queue wait, worker id, cached flag, outcome tallies; a fresh
+    collector when None) and never touches the campaign's randomness.
+    Each finished unit is logged at INFO as ``[i/N] <stage> <label>
+    (cached) | <heartbeat>``, counted and timed by *metrics*: ``[i]``
+    while its ``total_units`` is unset.  A collector that reaches the
+    end of the run with no total gets ``len(units)``.
 
     ``cancel`` is polled between work units (never inside one); when it
     returns true the campaign stops with :class:`CampaignCancelled`.
@@ -347,8 +374,8 @@ def run_units(
     emitter: Optional[_OrderedEmitter] = None
     if consume is not None:
         emitter = _OrderedEmitter([u.index for u in units], consume)
-    if metrics is not None and metrics.total_units is None:
-        metrics.total_units = len(units)
+    if metrics is None:
+        metrics = CampaignMetrics("campaign")
 
     def _finish(index: int, report: Any, cached: bool,
                 seconds: float = 0.0, queue_wait: float = 0.0,
@@ -359,23 +386,17 @@ def run_units(
             emitter.offer(index, report)
         if collect:
             results[index] = report
-        detail = ""
-        if metrics is not None:
-            metrics.record_unit(index, labels.get(index, ""),
-                                sizes.get(index, 0), report,
-                                seconds=seconds, queue_wait=queue_wait,
-                                cached=cached, worker=worker)
-            detail = metrics.heartbeat()
-        if progress is not None:
-            progress.advance(labels.get(index, str(index)), cached=cached,
-                             detail=detail)
+        metrics.record_unit(index, labels[index], sizes[index], report,
+                            seconds=seconds, queue_wait=queue_wait,
+                            cached=cached, worker=worker)
+        if _log.isEnabledFor(logging.INFO):
+            _log.info(_progress_line(metrics, labels[index], cached))
 
     def _cancelled() -> bool:
         return cancel is not None and bool(cancel())
 
     def _cancellation() -> CampaignCancelled:
-        done = len(results) if collect else (
-            metrics.units_done if metrics is not None else 0)
+        done = len(results) if collect else metrics.units_done
         where = (f"; completed units are journaled in {checkpoint.path}"
                  if checkpoint is not None else "")
         return CampaignCancelled(
@@ -434,7 +455,8 @@ def run_units(
                     f"{checkpoint.path} — resume with --resume")
         raise KeyboardInterrupt(f"campaign interrupted{hint}") from None
     finally:
-        if metrics is not None:
-            metrics.finish()
+        if metrics.total_units is None:
+            metrics.total_units = len(units)
+        metrics.finish()
         if checkpoint is not None:
             checkpoint.close()  # flush + fsync: the journal is durable

@@ -30,11 +30,21 @@ how many workers ran it (``--jobs``).
 from __future__ import annotations
 
 import json
+import logging
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..errors import CampaignError
-from .progress import ProgressReporter, make_progress
+from ..syndrome.database import SyndromeDatabase
 from .telemetry import (
     PIPELINE_KIND,
     SCHEMA_VERSION,
@@ -44,7 +54,9 @@ from .telemetry import (
     validate_metrics,
 )
 
-__all__ = ["PIPELINE_SEED", "run_pipeline"]
+__all__ = ["PIPELINE_SEED", "run_pipeline", "run_rtl_stage"]
+
+_log = logging.getLogger(__name__)
 
 #: Default campaign seed (the paper's publication year, as in datafiles).
 PIPELINE_SEED = 2021
@@ -52,41 +64,52 @@ PIPELINE_SEED = 2021
 _MODEL_NAMES = ("bitflip", "syndrome")
 
 
-def _grid_stage(workdir: Path, builder, *, seed: int, opcodes,
-                input_ranges, grid_faults: int, tmxm_faults: int,
-                n_jobs: int, batch_size: Optional[int],
-                timeout: Optional[float], fresh: bool,
-                quiet: bool, precision: str,
-                cancel: Optional[Callable[[], bool]]
-                ) -> List[CampaignMetrics]:
-    """Stage 1+2: RTL instruction grid and t-MxM tiles, streamed."""
-    from ..rtl.campaign import grid_spec, tmxm_spec
+def run_rtl_stage(workdir: Optional[Path], *, seed: int,
+                  grid_faults: int, tmxm_faults: int, opcodes=None,
+                  input_ranges: Sequence[str] = ("S", "M", "L"),
+                  n_jobs: int = 1, batch_size: Optional[int] = None,
+                  timeout: Optional[float] = None, fresh: bool = False,
+                  precision: str = "fp32",
+                  cancel: Optional[Callable[[], bool]] = None
+                  ) -> Tuple[SyndromeDatabase, List[CampaignMetrics]]:
+    """Stage 1: the RTL instruction grid (at *seed*) and the t-MxM
+    tiles (at ``seed + 1``), streamed into one syndrome database.
 
+    Returns the database and each campaign's telemetry.  With a
+    *workdir* each campaign journals to it (``rtl_grid.jsonl``,
+    ``tmxm.jsonl``) and resumes from there unless *fresh*; without one
+    nothing is journaled (``build-db``).  *opcodes* default to every
+    characterised opcode.
+    """
+    from ..rtl.campaign import CHARACTERIZED_OPCODES, grid_spec, tmxm_spec
+    from ..syndrome.builder import StreamingDatabaseBuilder
+
+    builder = StreamingDatabaseBuilder()
     stages = [
-        ("rtl", f"RTL grid ({grid_faults} faults/cell)", "rtl_grid.jsonl",
+        (f"RTL grid ({grid_faults} faults/cell)", "rtl_grid.jsonl",
          builder.add_report,
-         grid_spec(opcodes, input_ranges, n_faults=grid_faults, seed=seed,
+         grid_spec(CHARACTERIZED_OPCODES if opcodes is None else opcodes,
+                   input_ranges, n_faults=grid_faults, seed=seed,
                    batch_size=batch_size, timeout=timeout,
                    precision=precision)),
-        ("tmxm", f"t-MxM tiles ({tmxm_faults} faults/cell)", "tmxm.jsonl",
+        (f"t-MxM tiles ({tmxm_faults} faults/cell)", "tmxm.jsonl",
          builder.add_tmxm_report,
          tmxm_spec(n_faults=tmxm_faults, seed=seed + 1,
                    batch_size=batch_size, timeout=timeout)),
     ]
     stage_metrics = []
-    for prefix, title, name, add, spec in stages:
-        journal = workdir / name
-        resume = not fresh and journal.exists()
-        progress = make_progress(None, prefix, quiet=quiet)
-        progress.status(f"[stage 1/3] {title}"
-                        + (" [resuming]" if resume else ""))
+    for title, name, add, spec in stages:
+        journal = None if workdir is None else workdir / name
+        resume = journal is not None and not fresh and journal.exists()
+        _log.info("[stage 1/3] %s%s", title,
+                  " [resuming]" if resume else "")
         metrics = CampaignMetrics(spec.stage)
         spec.run(n_jobs=n_jobs, checkpoint=journal, resume=resume,
-                 progress=progress, metrics=metrics, cancel=cancel,
+                 metrics=metrics, cancel=cancel,
                  consume=lambda index, report, add=add: add(report),
                  collect=False)
         stage_metrics.append(metrics)
-    return stage_metrics
+    return builder.build(), stage_metrics
 
 
 def _make_model(name: str, database):
@@ -113,7 +136,6 @@ def run_pipeline(workdir: Union[str, Path],
                  batch_size: Optional[int] = None,
                  timeout: Optional[float] = None,
                  fresh: bool = False,
-                 quiet: bool = False,
                  precision: str = "fp32",
                  cancel: Optional[Callable[[], bool]] = None) -> Dict:
     """Run RTL campaigns, distil the database, measure application PVFs.
@@ -135,8 +157,6 @@ def run_pipeline(workdir: Union[str, Path],
     from ..apps import APP_FACTORIES, make_application
     from ..rtl.campaign import CHARACTERIZED_OPCODES
     from ..swfi.campaign import run_pvf_campaign
-    from ..syndrome.builder import StreamingDatabaseBuilder
-    from ..syndrome.database import SyndromeDatabase
 
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
@@ -164,12 +184,11 @@ def run_pipeline(workdir: Union[str, Path],
         for name in app_names:
             make_application(name, seed=seed, precision=precision)
 
-    status = make_progress(None, "", quiet=quiet)
     stage_metrics: List[Dict] = []
     db_path = workdir / "syndrome_db.json"
     if db_path.exists() and not fresh:
-        status.status(f"[stage 1/3] syndrome database exists, "
-                      f"skipping RTL campaigns ({db_path})")
+        _log.info("[stage 1/3] syndrome database exists, "
+                  "skipping RTL campaigns (%s)", db_path)
         database = SyndromeDatabase.load(db_path)
         # keep the RTL stages' telemetry from the run that built the
         # database, so the combined metrics file stays complete
@@ -181,19 +200,17 @@ def run_pipeline(workdir: Union[str, Path],
                 except CampaignError:
                     pass  # stale/foreign file: drop, do not abort
     else:
-        builder = StreamingDatabaseBuilder()
-        rtl_metrics = _grid_stage(
-            workdir, builder, seed=seed, opcodes=opcodes,
+        database, rtl_metrics = run_rtl_stage(
+            workdir, seed=seed, opcodes=opcodes,
             input_ranges=input_ranges, grid_faults=grid_faults,
             tmxm_faults=tmxm_faults, n_jobs=n_jobs,
             batch_size=batch_size, timeout=timeout, fresh=fresh,
-            quiet=quiet, precision=precision, cancel=cancel)
+            precision=precision, cancel=cancel)
         stage_metrics.extend(m.to_dict() for m in rtl_metrics)
-        database = builder.build()
         database.save(db_path)
-        status.status(f"[stage 2/3] syndrome database saved to {db_path} "
-                      f"({len(database.entries())} entries, "
-                      f"{len(database.tmxm_entries())} t-MxM entries)")
+        _log.info("[stage 2/3] syndrome database saved to %s "
+                  "(%d entries, %d t-MxM entries)", db_path,
+                  len(database.entries()), len(database.tmxm_entries()))
 
     pvf_results: List[Dict] = []
     for app_name in app_names:
@@ -202,20 +219,17 @@ def run_pipeline(workdir: Union[str, Path],
                                    precision=precision)
             model = _make_model(model_name, database)
             journal = workdir / f"pvf_{app_name}_{model_name}.jsonl"
-            progress = make_progress(
-                None, f"pvf {app_name}/{model_name}", quiet=quiet)
-            progress.status(
-                f"[stage 3/3] PVF: {app_name} under {model_name} "
-                f"({injections} injections)"
-                + (" [resuming]" if not fresh and journal.exists() else ""))
+            resume = not fresh and journal.exists()
+            _log.info("[stage 3/3] PVF: %s under %s (%d injections)%s",
+                      app_name, model_name, injections,
+                      " [resuming]" if resume else "")
             pvf_metrics = CampaignMetrics(
                 f"pvf/{app_name}/{model_name}")
             report = run_pvf_campaign(
                 app, model, injections, seed=seed, n_jobs=n_jobs,
                 batch_size=batch_size, timeout=timeout,
-                checkpoint=journal,
-                resume=not fresh and journal.exists(),
-                progress=progress, metrics=pvf_metrics, cancel=cancel)
+                checkpoint=journal, resume=resume, metrics=pvf_metrics,
+                cancel=cancel)
             stage_metrics.append(pvf_metrics.to_dict())
             low, high = report.confidence_interval()
             pvf_results.append({
@@ -252,5 +266,5 @@ def run_pipeline(workdir: Union[str, Path],
     }, indent=2) + "\n")
     (workdir / "pipeline_summary.json").write_text(
         json.dumps(summary, indent=2) + "\n")
-    status.status(f"pipeline complete: {workdir / 'pipeline_summary.json'}")
+    _log.info("pipeline complete: %s", workdir / "pipeline_summary.json")
     return summary

@@ -26,7 +26,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 from ..errors import CampaignError
 from .checkpoint import CampaignCheckpoint
 from .engine import WorkUnit, merge_ordered, run_units
-from .progress import ProgressReporter
 from .telemetry import CampaignMetrics, emit_metrics, resolve_metrics
 
 __all__ = ["CampaignSpec", "Cell"]
@@ -50,8 +49,9 @@ class CampaignSpec:
     """Everything needed to plan, run, journal and merge one campaign.
 
     ``schema`` is the artifact kind of one unit's report (and of the
-    journal's records); ``stage`` names the telemetry a checkpointed run
-    writes when the caller passes no metrics.  ``run_unit`` and
+    journal's records); ``stage`` names the telemetry a run collects,
+    and its progress lines, when the caller passes no metrics
+    (``adaptive-<stage>`` for an adaptive run).  ``run_unit`` and
     ``state_factory`` must be picklable for process-pool runs.
     """
 
@@ -96,7 +96,6 @@ class CampaignSpec:
             state: Any = None,
             checkpoint: Optional[Union[str, Path]] = None,
             resume: bool = False,
-            progress: Optional[ProgressReporter] = None,
             metrics: Optional[CampaignMetrics] = None,
             consume: Optional[Callable[[int, Any], None]] = None,
             collect: bool = True,
@@ -106,9 +105,13 @@ class CampaignSpec:
 
         *state* is a prebuilt worker state for a serial run (a shared
         injector); otherwise ``state_factory`` builds one per worker.
-        ``checkpoint``/``resume`` journal finished units and replay them;
-        ``consume``, ``collect``, ``progress``, ``metrics`` and
-        ``cancel`` go to :func:`~repro.campaign.engine.run_units`.  With
+        ``checkpoint``/``resume`` journal finished units and replay them,
+        and a checkpointed run writes its telemetry next to the journal
+        (:func:`~repro.campaign.telemetry.emit_metrics`).  ``consume``,
+        ``collect``, ``metrics`` and ``cancel`` go to
+        :func:`~repro.campaign.engine.run_units`; a fixed run sets the
+        collector's ``total_units`` to its unit count, an adaptive one
+        leaves it open, so progress counts ``[i/N]`` or ``[i]``.  With
         an *adaptive* controller (from :meth:`controller`) the run
         replays the reports so far through it and runs the planned units
         that have none yet, until the controller stops; the controller
@@ -135,17 +138,16 @@ class CampaignSpec:
         journal = (None if checkpoint is None
                    else self.journal(checkpoint, resume))
         stage = self.stage if adaptive is None else f"adaptive-{self.stage}"
-        metrics = resolve_metrics(metrics, checkpoint, stage)
-        if progress is not None and progress.total is None \
-                and adaptive is None:
-            progress.total = len(units)
+        metrics = resolve_metrics(metrics, stage)
+        if adaptive is None and metrics.total_units is None:
+            metrics.total_units = len(units)
         if adaptive is not None and n_jobs == 1 and state is None:
             state = self.state_factory()  # one state for every round
         execute = functools.partial(
             run_units, run_unit=self.run_unit, n_jobs=n_jobs,
             state_factory=self.state_factory, state=state, checkpoint=journal,
-            progress=progress, metrics=metrics, consume=consume,
-            collect=collect, cancel=cancel)
+            metrics=metrics, consume=consume, collect=collect,
+            cancel=cancel)
         try:
             if adaptive is None:
                 results = execute(units)
@@ -155,8 +157,7 @@ class CampaignSpec:
                     results.update(execute(
                         [unit for unit in adaptive.planned_units
                          if unit.index not in results]))
-                    if metrics is not None:
-                        metrics.total_units = None  # adaptive: unknowable
+                    metrics.total_units = None  # adaptive: unknowable
         finally:
             if journal is not None:
                 journal.close()

@@ -205,7 +205,7 @@ class CampaignMetrics:
         return max(0, self.total_units - self.units_done) / rate
 
     def heartbeat(self) -> str:
-        """One-line live telemetry for the progress stream."""
+        """One-line live telemetry for the engine's progress lines."""
         parts = [f"{self.units_per_second():.1f} units/s"]
         eta = self.eta_seconds()
         if eta is not None:
@@ -264,12 +264,10 @@ def validate_metrics(payload: dict) -> dict:
 
 
 def resolve_metrics(metrics: Optional["CampaignMetrics"],
-                    checkpoint: Optional[Union[str, Path]],
-                    stage: str) -> Optional["CampaignMetrics"]:
-    """Checkpointed campaigns get telemetry by default (opt-in otherwise)."""
-    if metrics is None and checkpoint is not None:
-        return CampaignMetrics(stage=stage)
-    return metrics
+                    stage: str) -> "CampaignMetrics":
+    """Every campaign run collects telemetry: the caller's collector,
+    else a fresh one named after the run's *stage*."""
+    return CampaignMetrics(stage=stage) if metrics is None else metrics
 
 
 def emit_metrics(metrics: Optional["CampaignMetrics"],

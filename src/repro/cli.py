@@ -25,13 +25,17 @@ Fleet mode (coordinator + lease-based pull workers)::
     python -m repro worker --url http://127.0.0.1:8765
     python -m repro workers --url http://127.0.0.1:8765
 
-Campaign commands print their results on *stdout*; progress lines go to
-*stderr* and are silenced by ``--quiet``.
+Commands print their results on *stdout*.  Diagnostics — a line per
+finished work unit, pipeline stages, service and worker events — are
+stdlib :mod:`logging` events of the ``repro`` logger, and this module
+is the one place that configures it: they go to *stderr* at INFO,
+silenced by ``--quiet``; ``worker`` logs them only with ``--verbose``.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -40,7 +44,6 @@ from .analysis.attribution import attribute_outcomes, render_attribution
 from .analysis.figures import render_fig3
 from .analysis.stats import margin_of_error
 from .analysis.tables import render_table1
-from .campaign.progress import make_progress
 from .datafiles import DEFAULT_GRID_FAULTS, DEFAULT_SEED, DEFAULT_TMXM_FAULTS
 from .errors import ServiceError
 from .gpu import Opcode
@@ -54,6 +57,33 @@ from .rtl import (
 from .syndrome.builder import tmxm_entry_from_report
 
 __all__ = ["main"]
+
+
+class _StderrHandler(logging.StreamHandler):
+    """``%(message)s`` lines to whatever ``sys.stderr`` is at emit time,
+    so a handler outlives a swapped stream (pytest swaps it per test)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.setFormatter(logging.Formatter("%(message)s"))
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+    @stream.setter
+    def stream(self, value) -> None:
+        pass  # always the current sys.stderr
+
+
+def _configure_logging(args: argparse.Namespace) -> None:
+    """Route the ``repro`` logger to stderr at the asked verbosity:
+    INFO unless ``--quiet``; ``worker`` only with ``--verbose``."""
+    verbose = getattr(args, "verbose", not getattr(args, "quiet", False))
+    logger = logging.getLogger("repro")
+    logger.setLevel(logging.INFO if verbose else logging.WARNING)
+    if not any(isinstance(h, _StderrHandler) for h in logger.handlers):
+        logger.addHandler(_StderrHandler())
 
 
 def _apps():
@@ -93,9 +123,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                           n_jobs=args.jobs, batch_size=args.batch_size,
                           fault_model=args.fault_model,
                           burst_width=args.burst_width,
-                          burst_window=args.burst_window,
-                          progress=make_progress(
-                              None, "campaign", quiet=args.quiet))
+                          burst_window=args.burst_window)
     label = ("" if args.fault_model == "transient"
              else f" [{args.fault_model}]")
     print(f"{args.opcode} x {module}{label} ({args.range} inputs, "
@@ -115,8 +143,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 def _run_signature_cli(args: argparse.Namespace, module: str) -> int:
     report = run_signature_campaign(
         module, args.faults, seed=args.seed, apps=args.apps,
-        n_jobs=args.jobs,
-        progress=make_progress(None, "signature", quiet=args.quiet))
+        n_jobs=args.jobs)
     print(f"stuck-at x {module} ({report.n_faults} faults x "
           f"{len(report.apps)} apps, seed {args.seed})")
     for app, row in report.per_app_summary().items():
@@ -144,9 +171,7 @@ def _run_signature_cli(args: argparse.Namespace, module: str) -> int:
 def _cmd_tmxm(args: argparse.Namespace) -> int:
     bench = make_tmxm_bench(args.tile, seed=args.seed)
     report = run_campaign(bench, args.module, args.faults, seed=args.seed,
-                          n_jobs=args.jobs, batch_size=args.batch_size,
-                          progress=make_progress(
-                              None, "tmxm", quiet=args.quiet))
+                          n_jobs=args.jobs, batch_size=args.batch_size)
     entry = tmxm_entry_from_report(report)
     print(f"t-MxM ({args.tile} tile) x {args.module}: "
           f"masked {report.n_masked}  SDC {report.n_sdc}  "
@@ -203,9 +228,7 @@ def _cmd_pvf(args: argparse.Namespace) -> int:
                 app, model, args.injections, config, seed=args.seed,
                 n_jobs=args.jobs, batch_size=args.batch_size,
                 timeout=args.timeout, checkpoint=checkpoint,
-                resume=args.resume,
-                progress=make_progress(
-                    None, f"pvf {model.name}", quiet=args.quiet))
+                resume=args.resume)
             report = outcome.report
             stop = ("converged" if outcome.converged
                     else "plan exhausted")
@@ -217,9 +240,7 @@ def _cmd_pvf(args: argparse.Namespace) -> int:
                 app, model, args.injections, seed=args.seed,
                 injector=injector, n_jobs=args.jobs,
                 batch_size=args.batch_size, timeout=args.timeout,
-                checkpoint=checkpoint, resume=args.resume,
-                progress=make_progress(
-                    None, f"pvf {model.name}", quiet=args.quiet))
+                checkpoint=checkpoint, resume=args.resume)
         low, high = report.confidence_interval()
         print(f"{app.name} under {model.name}: PVF {report.pvf:.3f} "
               f"(95% CI [{low:.3f}, {high:.3f}], "
@@ -234,8 +255,7 @@ def _cmd_build_db(args: argparse.Namespace) -> int:
 
     database = datafiles.build_full_database(
         args.grid_faults, args.tmxm_faults, args.seed,
-        n_jobs=args.jobs, batch_size=args.batch_size,
-        progress=make_progress(None, "build-db", quiet=args.quiet))
+        n_jobs=args.jobs, batch_size=args.batch_size)
     path = Path(args.output) if args.output else \
         datafiles.default_database_path()
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -258,8 +278,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         grid_faults=args.grid_faults, tmxm_faults=args.tmxm_faults,
         apps=args.apps, models=models, injections=args.injections,
         n_jobs=args.jobs, batch_size=args.batch_size,
-        timeout=args.timeout, fresh=args.fresh, quiet=args.quiet,
-        precision=args.precision)
+        timeout=args.timeout, fresh=args.fresh, precision=args.precision)
     db = summary["database"]
     print(f"syndrome database: {db['entries']} entries, "
           f"{db['tmxm_entries']} t-MxM entries")
@@ -341,12 +360,15 @@ DEFAULT_SERVICE_URL = "http://127.0.0.1:8765"
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .service import serve
+    from .service import ServiceDaemon
 
-    serve(args.workdir, host=args.host, port=args.port,
-          poll_interval=args.poll_interval, quiet=args.quiet,
-          execute_jobs=not args.no_scheduler,
-          max_queue_depth=args.max_queue)
+    daemon = ServiceDaemon(args.workdir, host=args.host, port=args.port,
+                           poll_interval=args.poll_interval,
+                           execute_jobs=not args.no_scheduler,
+                           max_queue_depth=args.max_queue).start()
+    print(f"repro service listening on {daemon.url} "
+          f"(workdir {daemon.workdir})", flush=True)
+    daemon.wait()  # until interrupted
     return 0
 
 
@@ -355,8 +377,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
     worker = CampaignWorker(args.url, name=args.name,
                             lease_seconds=args.lease,
-                            poll_interval=args.poll,
-                            quiet=not args.verbose)
+                            poll_interval=args.poll)
     try:
         claims = worker.run_forever(drain=args.drain,
                                     max_claims=args.max_claims)
@@ -891,6 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _configure_logging(args)
     try:
         return args.func(args)
     except ServiceError as exc:

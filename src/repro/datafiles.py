@@ -15,9 +15,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional
 
-from .campaign.progress import ProgressReporter, make_progress
-from .rtl.campaign import run_grid, run_tmxm_grid
-from .syndrome.builder import StreamingDatabaseBuilder
+from .campaign.pipeline import run_rtl_stage
 from .syndrome.database import SyndromeDatabase
 
 __all__ = [
@@ -43,34 +41,23 @@ def build_full_database(grid_faults: int = DEFAULT_GRID_FAULTS,
                         tmxm_faults: int = DEFAULT_TMXM_FAULTS,
                         seed: int = DEFAULT_SEED,
                         n_jobs: int = 1,
-                        batch_size: Optional[int] = None,
-                        progress: Optional[ProgressReporter] = None
+                        batch_size: Optional[int] = None
                         ) -> SyndromeDatabase:
     """Run the full RTL campaign grid and distil the syndrome database.
 
-    Cell reports stream straight into a
+    This is the pipeline's RTL stage
+    (:func:`~repro.campaign.pipeline.run_rtl_stage`) with no journal:
+    cell reports stream straight into a
     :class:`~repro.syndrome.builder.StreamingDatabaseBuilder` as they
     complete (in deterministic cell order), so the full grid never sits
     in memory at once.  ``n_jobs``/``batch_size`` parallelise the
     campaigns without changing the resulting database: the t-MxM cells
     keep their historical seeds (children of ``seed + 1``).
     """
-    if progress is None:
-        progress = make_progress(0, "rtl", quiet=True)
-    builder = StreamingDatabaseBuilder()
-    progress.status(f"running campaign grid ({grid_faults} faults/cell)")
-    run_grid(n_faults=grid_faults, seed=seed, n_jobs=n_jobs,
-             batch_size=batch_size, progress=progress,
-             consume=lambda index, report: builder.add_report(report),
-             collect=False)
-    progress.status(f"running t-MxM campaigns ({tmxm_faults} faults/cell)")
-    progress.total, progress.done = None, 0  # fresh counter per stage
-    run_tmxm_grid(n_faults=tmxm_faults, seed=seed + 1, n_jobs=n_jobs,
-                  batch_size=batch_size, progress=progress,
-                  consume=lambda index, report:
-                      builder.add_tmxm_report(report),
-                  collect=False)
-    return builder.build()
+    database, _ = run_rtl_stage(None, seed=seed, grid_faults=grid_faults,
+                                tmxm_faults=tmxm_faults, n_jobs=n_jobs,
+                                batch_size=batch_size)
+    return database
 
 
 def load_database(path: Optional[Path] = None,

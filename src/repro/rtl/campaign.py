@@ -46,7 +46,6 @@ from ..campaign.engine import (  # noqa: F401
     plan_batches,
     run_units,
 )
-from ..campaign.progress import ProgressReporter
 from ..campaign.spec import CampaignSpec, Cell
 from ..campaign.telemetry import CampaignMetrics
 from ..errors import CampaignError
@@ -672,7 +671,6 @@ def run_campaign(
     timeout: Optional[float] = None,
     checkpoint: Optional[Union[str, Path]] = None,
     resume: bool = False,
-    progress: Optional[ProgressReporter] = None,
     metrics: Optional[CampaignMetrics] = None,
     cancel: Optional[Callable[[], bool]] = None,
     config: Optional[SMConfig] = None,
@@ -706,12 +704,13 @@ def run_campaign(
     worker builds its own SM from *config*; *injector* must be None);
     ``checkpoint``/``resume`` journal finished batches, ``timeout``
     bounds each simulated run and turns one that overruns into a DUE
-    (faults resolved from the trace or replayed run no simulation).
+    (faults resolved from the trace or replayed run no simulation; off
+    the main thread a timeout needs ``n_jobs >= 2``).
     For a fixed ``(seed, batch_size)`` the merged report is
     bit-identical across any ``n_jobs`` and any kill/resume boundary.
-    ``metrics`` collects per-batch telemetry (created automatically for
-    checkpointed runs and written next to the journal); ``n_faults=0``
-    yields an empty report.
+    ``metrics`` collects per-batch telemetry (a fresh collector when
+    None; written next to the journal of a checkpointed run);
+    ``n_faults=0`` yields an empty report.
     """
     spec = cell_spec(bench, module, n_faults, seed, kind,
                      batch_size=batch_size, timeout=timeout, config=config,
@@ -719,7 +718,7 @@ def run_campaign(
                      burst_width=burst_width, burst_window=burst_window)
     results = spec.run(n_jobs=n_jobs, state=_shared_state(injector, config),
                        checkpoint=checkpoint, resume=resume,
-                       progress=progress, metrics=metrics, cancel=cancel)
+                       metrics=metrics, cancel=cancel)
     return spec.merge(results)[0]
 
 
@@ -736,7 +735,6 @@ def run_signature_campaign(
     timeout: Optional[float] = None,
     checkpoint: Optional[Union[str, Path]] = None,
     resume: bool = False,
-    progress: Optional[ProgressReporter] = None,
     metrics: Optional[CampaignMetrics] = None,
     cancel: Optional[Callable[[], bool]] = None,
     config: Optional[SMConfig] = None,
@@ -759,7 +757,7 @@ def run_signature_campaign(
     check_signature_suite(module, apps)
     results = spec.run(n_jobs=n_jobs, state=_shared_state(injector, config),
                        checkpoint=checkpoint, resume=resume,
-                       progress=progress, metrics=metrics, cancel=cancel)
+                       metrics=metrics, cancel=cancel)
     return spec.merge(results)[0]
 
 
@@ -776,7 +774,6 @@ def run_grid(
     timeout: Optional[float] = None,
     checkpoint: Optional[Union[str, Path]] = None,
     resume: bool = False,
-    progress: Optional[ProgressReporter] = None,
     metrics: Optional[CampaignMetrics] = None,
     consume: Optional[Callable[[int, CampaignReport], None]] = None,
     collect: bool = True,
@@ -811,8 +808,8 @@ def run_grid(
                      vectorize=vectorize, precision=precision)
     results = spec.run(n_jobs=n_jobs, state=_shared_state(injector, config),
                        checkpoint=checkpoint, resume=resume,
-                       progress=progress, metrics=metrics, consume=consume,
-                       collect=collect, cancel=cancel)
+                       metrics=metrics, consume=consume, collect=collect,
+                       cancel=cancel)
     return spec.merge(results) if collect else []
 
 
@@ -829,7 +826,6 @@ def run_tmxm_grid(
     timeout: Optional[float] = None,
     checkpoint: Optional[Union[str, Path]] = None,
     resume: bool = False,
-    progress: Optional[ProgressReporter] = None,
     metrics: Optional[CampaignMetrics] = None,
     consume: Optional[Callable[[int, CampaignReport], None]] = None,
     collect: bool = True,
@@ -851,6 +847,6 @@ def run_tmxm_grid(
                      vectorize=vectorize)
     results = spec.run(n_jobs=n_jobs, state=_shared_state(injector, config),
                        checkpoint=checkpoint, resume=resume,
-                       progress=progress, metrics=metrics, consume=consume,
-                       collect=collect, cancel=cancel)
+                       metrics=metrics, consume=consume, collect=collect,
+                       cancel=cancel)
     return spec.merge(results) if collect else []

@@ -40,7 +40,6 @@ from .api import (
     CampaignService,
     ServiceDaemon,
     content_etag,
-    serve,
 )
 from .client import ServiceClient
 from .scheduler import (
@@ -74,5 +73,4 @@ __all__ = [
     "normalize_params",
     "plan_job_units",
     "run_job_units",
-    "serve",
 ]

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import threading
 import time
@@ -85,8 +86,10 @@ from .scheduler import (
 from .store import JOB_STATES, JobStore
 from .worker import CampaignWorker
 
-__all__ = ["ApiError", "CampaignService", "ServiceDaemon", "serve",
+__all__ = ["ApiError", "CampaignService", "ServiceDaemon",
            "DEFAULT_LEASE_SECONDS", "LOCAL_WORKER"]
+
+_log = logging.getLogger(__name__)
 
 #: Lease a claim stamps when the worker does not ask for a specific one.
 DEFAULT_LEASE_SECONDS = 30.0
@@ -557,8 +560,11 @@ class _Handler(BaseHTTPRequestHandler):
         return self.server.service  # type: ignore[attr-defined]
 
     def log_message(self, format, *args):  # noqa: A002
-        if not getattr(self.server, "quiet", True):
-            super().log_message(format, *args)
+        # the stdlib access-log line, as an INFO event; built only when
+        # someone listens, since every response passes through here
+        if _log.isEnabledFor(logging.INFO):
+            _log.info("%s - - [%s] %s", self.address_string(),
+                      self.log_date_time_string(), format % args)
 
     # -- helpers ------------------------------------------------------------
     def _send(self, status: int, body: bytes, content_type: str,
@@ -658,11 +664,9 @@ class _Server(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
 
-    def __init__(self, address, service: CampaignService,
-                 quiet: bool = True) -> None:
+    def __init__(self, address, service: CampaignService) -> None:
         super().__init__(address, _Handler)
         self.service = service
-        self.quiet = quiet
 
 
 class ServiceDaemon:
@@ -680,7 +684,7 @@ class ServiceDaemon:
 
     def __init__(self, workdir: Union[str, Path],
                  host: str = "127.0.0.1", port: int = 8765,
-                 poll_interval: float = 0.5, quiet: bool = True,
+                 poll_interval: float = 0.5,
                  execute_jobs: bool = True,
                  max_queue_depth: Optional[int] = None) -> None:
         self.workdir = Path(workdir)
@@ -688,14 +692,12 @@ class ServiceDaemon:
         self.store = JobStore(self.workdir / "jobs.sqlite3")
         self.scheduler = Scheduler(self.store, self.workdir,
                                    poll_interval=poll_interval,
-                                   quiet=quiet,
                                    execute_jobs=execute_jobs)
         self.service = CampaignService(self.store, self.scheduler,
                                        max_queue_depth=max_queue_depth)
-        self.quiet = quiet
-        self._httpd = _Server((host, port), self.service, quiet=quiet)
+        self._httpd = _Server((host, port), self.service)
         self.worker = (CampaignWorker(
-            self.url, name=LOCAL_WORKER, quiet=quiet,
+            self.url, name=LOCAL_WORKER,
             lease_seconds=DEFAULT_LEASE_SECONDS,
             poll_interval=poll_interval) if execute_jobs else None)
         self._threads: List[threading.Thread] = []
@@ -714,9 +716,9 @@ class ServiceDaemon:
     def start(self) -> "ServiceDaemon":
         """Recover interrupted jobs, then serve HTTP + run the queue."""
         recovered = self.store.recover(LOCAL_WORKER)
-        if recovered and not self.quiet:
-            ids = ", ".join(str(job.id) for job in recovered)
-            print(f"recovered interrupted job(s): {ids}", flush=True)
+        if recovered:
+            _log.info("recovered interrupted job(s): %s",
+                      ", ".join(str(job.id) for job in recovered))
         (self.workdir / "service.json").write_text(json.dumps({
             "url": self.url,
             "host": self.address[0],
@@ -768,18 +770,3 @@ class ServiceDaemon:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
-
-
-def serve(workdir: Union[str, Path], host: str = "127.0.0.1",
-          port: int = 8765, poll_interval: float = 0.5,
-          quiet: bool = False, execute_jobs: bool = True,
-          max_queue_depth: Optional[int] = None) -> None:
-    """Run the campaign service in the foreground until interrupted."""
-    daemon = ServiceDaemon(workdir, host=host, port=port,
-                           poll_interval=poll_interval, quiet=quiet,
-                           execute_jobs=execute_jobs,
-                           max_queue_depth=max_queue_depth)
-    daemon.start()
-    print(f"repro service listening on {daemon.url} "
-          f"(workdir {daemon.workdir})", flush=True)
-    daemon.wait()

@@ -27,9 +27,9 @@ however many workers shared them and however often a daemon died.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import sqlite3
-import sys
 import threading
 import time
 import traceback
@@ -45,6 +45,8 @@ from .store import Job, JobStore
 __all__ = ["JOB_KINDS", "Scheduler", "execute_job",
            "finalize_sharded_job", "job_spec", "normalize_params",
            "plan_job_units", "run_job_units"]
+
+_log = logging.getLogger(__name__)
 
 #: The campaign shapes the service runs.
 JOB_KINDS = ("pvf", "rtl", "pipeline")
@@ -599,8 +601,7 @@ def finalize_sharded_job(store: JobStore, job: Job,
 
 
 def execute_job(job: Job, jobdir: Union[str, Path],
-                store: Optional[JobStore] = None,
-                quiet: bool = True) -> dict:
+                store: Optional[JobStore] = None) -> dict:
     """Run one claimed pipeline job whole; returns its result payload.
 
     Raises :class:`~repro.errors.CampaignCancelled` when the store's
@@ -649,7 +650,7 @@ def execute_job(job: Job, jobdir: Union[str, Path],
             tmxm_faults=params["tmxm_faults"], apps=params["apps"],
             models=params["models"], injections=params["injections"],
             n_jobs=params["jobs"], batch_size=params["batch_size"],
-            timeout=params["timeout"], quiet=quiet,
+            timeout=params["timeout"],
             precision=params.get("precision", "fp32"), cancel=cancel)
     except CampaignCancelled as exc:
         if state["why"] == "budget":
@@ -675,12 +676,11 @@ class Scheduler:
     """
 
     def __init__(self, store: JobStore, workdir: Union[str, Path],
-                 poll_interval: float = 0.5, quiet: bool = True,
+                 poll_interval: float = 0.5,
                  execute_jobs: bool = True) -> None:
         self.store = store
         self.workdir = Path(workdir)
         self.poll_interval = poll_interval
-        self.quiet = quiet
         self.execute_jobs = execute_jobs
 
     def jobdir(self, job_id: int) -> Path:
@@ -689,10 +689,9 @@ class Scheduler:
     def maintain(self) -> None:
         """Reap expired leases; finalize fully-delivered sharded jobs."""
         reaped = self.store.reap()
-        if not self.quiet:
-            for job_id, lo in reaped["shards"]:
-                print(f"[scheduler] lease expired: job {job_id} shard "
-                      f"@{lo} re-queued", file=sys.stderr)
+        for job_id, lo in reaped["shards"]:
+            _log.info("[scheduler] lease expired: job %s shard @%s "
+                      "re-queued", job_id, lo)
         for job_id in self.store.sharded_jobs_ready():
             try:
                 finalize_sharded_job(self.store, self.store.get(job_id),
@@ -700,9 +699,8 @@ class Scheduler:
             except ServiceError as exc:
                 # lost race with another finalizer, or journal gap: the
                 # job stays running and the next pass retries
-                if not self.quiet:
-                    print(f"[scheduler] finalize of job {job_id} "
-                          f"deferred: {exc}", file=sys.stderr)
+                _log.info("[scheduler] finalize of job %s deferred: %s",
+                          job_id, exc)
 
     def run_once(self) -> Optional[Job]:
         """Claim and run at most one pipeline job; returns it (or None)."""
@@ -711,7 +709,7 @@ class Scheduler:
             return None
         try:
             result = execute_job(job, self.jobdir(job.id),
-                                 store=self.store, quiet=self.quiet)
+                                 store=self.store)
         except CampaignCancelled as exc:
             return self.store.finish(job.id, "cancelled", error=str(exc))
         except BudgetExceeded as exc:
@@ -741,10 +739,8 @@ class Scheduler:
                 self.maintain()
                 job = self.run_once() if self.execute_jobs else None
             except sqlite3.OperationalError as exc:
-                if not self.quiet:
-                    print(f"[scheduler] transient store error "
-                          f"({exc}); retrying in {backoff:.1f}s",
-                          file=sys.stderr)
+                _log.info("[scheduler] transient store error (%s); "
+                          "retrying in %.1fs", exc, backoff)
                 stop.wait(backoff)
                 backoff = min(backoff * 2, _MAX_BACKOFF_SECONDS)
                 continue

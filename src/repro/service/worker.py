@@ -31,6 +31,7 @@ dropped, never merged twice.
 
 from __future__ import annotations
 
+import logging
 import os
 import socket
 import threading
@@ -43,6 +44,8 @@ from .client import ServiceClient
 from .scheduler import run_job_units
 
 __all__ = ["CampaignWorker", "default_worker_name"]
+
+_log = logging.getLogger(__name__)
 
 
 def default_worker_name() -> str:
@@ -69,7 +72,6 @@ class CampaignWorker:
     def __init__(self, url: str, name: Optional[str] = None,
                  lease_seconds: float = 30.0,
                  poll_interval: float = 1.0,
-                 quiet: bool = True,
                  http_timeout: float = 30.0,
                  claim_seconds: Optional[float] = None) -> None:
         if lease_seconds <= 0:
@@ -78,7 +80,6 @@ class CampaignWorker:
         self.name = name or default_worker_name()
         self.lease_seconds = float(lease_seconds)
         self.poll_interval = float(poll_interval)
-        self.quiet = quiet
         #: target wall clock per claim; claims are sized so
         #: ``units * seconds-per-unit`` stays near it
         self.claim_seconds = float(claim_seconds
@@ -86,10 +87,6 @@ class CampaignWorker:
                                    else lease_seconds)
         #: EMA of seconds per work unit, from delivered shards
         self._unit_seconds: Optional[float] = None
-
-    def _log(self, message: str) -> None:
-        if not self.quiet:
-            print(f"[worker {self.name}] {message}", flush=True)
 
     def target_units(self) -> Optional[int]:
         """How many units the next claim should span (None: no cap yet).
@@ -133,7 +130,8 @@ class CampaignWorker:
         job = claim["job"]
         job_id, (lo, hi) = job["id"], claim["units"]
         summary = {"job": job_id, "worker": self.name, "units": [lo, hi]}
-        self._log(f"claimed job {job_id} units [{lo}, {hi})")
+        _log.info("[worker %s] claimed job %s units [%s, %s)", self.name,
+                  job_id, lo, hi)
 
         # heartbeat between units: renews the lease and carries the
         # cancellation flag back; a lost lease aborts the shard
@@ -157,7 +155,8 @@ class CampaignWorker:
             except ServiceError as exc:
                 # 409 (lease re-issued elsewhere) or unreachable
                 # daemon: either way this shard's results are stale
-                self._log(f"lease lost on job {job_id}: {exc}")
+                _log.info("[worker %s] lease lost on job %s: %s",
+                          self.name, job_id, exc)
                 state["lost"] = True
                 return True
             if beat.get("cancel_requested"):
@@ -177,8 +176,8 @@ class CampaignWorker:
                 self.client.release_shard(job_id, self.name, lo)
             except ServiceError:
                 pass  # lease may have lapsed while we noticed the cancel
-            self._log(f"released job {job_id} units [{lo}, {hi}) "
-                      f"(cancelled)")
+            _log.info("[worker %s] released job %s units [%s, %s) "
+                      "(cancelled)", self.name, job_id, lo, hi)
             return dict(summary, outcome="released")
         except Exception as exc:
             try:
@@ -186,7 +185,8 @@ class CampaignWorker:
                                      f"{type(exc).__name__}: {exc}")
             except ServiceError:
                 pass  # someone else already settled the job
-            self._log(f"job {job_id} failed: {exc}")
+            _log.info("[worker %s] job %s failed: %s", self.name, job_id,
+                      exc)
             return dict(summary, outcome="failed", error=str(exc))
         self._observe_units(hi - lo, time.monotonic() - started)
         try:
@@ -194,10 +194,12 @@ class CampaignWorker:
                 job_id, self.name, lo, reports,
                 units=[unit.to_dict() for unit in metrics.units])
         except ServiceError as exc:
-            self._log(f"delivery rejected for job {job_id}: {exc}")
+            _log.info("[worker %s] delivery rejected for job %s: %s",
+                      self.name, job_id, exc)
             return dict(summary, outcome="rejected", error=str(exc))
-        self._log(f"delivered job {job_id} units [{lo}, {hi}) "
-                  f"(job state: {delivered.get('state')})")
+        _log.info("[worker %s] delivered job %s units [%s, %s) "
+                  "(job state: %s)", self.name, job_id, lo, hi,
+                  delivered.get("state"))
         return dict(summary, outcome="delivered",
                     units_done=len(reports),
                     job_state=delivered.get("state"))
@@ -223,8 +225,8 @@ class CampaignWorker:
             try:
                 summary = self.run_once(stop)
             except ServiceError as exc:
-                self._log(f"service unreachable ({exc}); retrying in "
-                          f"{backoff:.1f}s")
+                _log.info("[worker %s] service unreachable (%s); "
+                          "retrying in %.1fs", self.name, exc, backoff)
                 stop.wait(backoff)
                 backoff = min(backoff * 2, 30.0)
                 continue

@@ -42,7 +42,6 @@ from ..campaign.engine import (  # noqa: F401
     plan_units,
     run_units,
 )
-from ..campaign.progress import ProgressReporter
 from ..campaign.spec import CampaignSpec, Cell
 from ..campaign.telemetry import CampaignMetrics
 from ..errors import CampaignError
@@ -243,7 +242,6 @@ def run_pvf_campaign(app, model: FaultModel, n_injections: int,
                      timeout: Optional[float] = None,
                      checkpoint: Optional[Union[str, Path]] = None,
                      resume: bool = False,
-                     progress: Optional[ProgressReporter] = None,
                      metrics: Optional[CampaignMetrics] = None,
                      cancel: Optional[Callable[[], bool]] = None
                      ) -> PVFReport:
@@ -256,9 +254,10 @@ def run_pvf_campaign(app, model: FaultModel, n_injections: int,
     ``(seed, batch_size)`` the merged report is bit-identical across any
     ``n_jobs``.  ``checkpoint``/``resume`` journal completed batches to a
     JSONL file and skip them on restart; ``timeout`` bounds each injected
-    run's wall-clock seconds, converting runaways into DUEs.  ``metrics``
-    collects per-batch telemetry (created automatically for checkpointed
-    runs and written next to the journal); ``n_injections=0`` yields an
+    run's wall-clock seconds, converting runaways into DUEs (off the
+    main thread it needs ``n_jobs >= 2``).  ``metrics`` collects
+    per-batch telemetry (a fresh collector when None; written next to
+    the journal of a checkpointed run); ``n_injections=0`` yields an
     empty report.  To inject only until the PVF interval is tight, use
     :func:`repro.adaptive.run_adaptive_pvf_campaign`.
     """
@@ -267,6 +266,5 @@ def run_pvf_campaign(app, model: FaultModel, n_injections: int,
                     batch_size=batch_size, timeout=timeout)
     state = None if injector is None else _SwfiState(app, model, injector)
     results = spec.run(n_jobs=n_jobs, state=state, checkpoint=checkpoint,
-                       resume=resume, progress=progress, metrics=metrics,
-                       cancel=cancel)
+                       resume=resume, metrics=metrics, cancel=cancel)
     return spec.merge(results)[0]

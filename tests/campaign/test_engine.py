@@ -1,5 +1,6 @@
 """Level-agnostic campaign engine: planning, execution, merge order."""
 
+import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -258,6 +259,59 @@ class TestWallClock:
                     time.sleep(0.3)  # outlives the suspended outer budget
                 time.sleep(5)  # must be interrupted almost at once
         assert time.perf_counter() - start < 2.0
+
+
+def _on_a_thread(call):
+    """Run *call* on a fresh thread; return what it raised (or None)."""
+    raised = []
+
+    def target():
+        try:
+            call()
+        except Exception as exc:  # noqa: BLE001 - handed to the test
+            raised.append(exc)
+
+    thread = threading.Thread(target=target, name="campaign-thread")
+    thread.start()
+    thread.join()
+    return raised[0] if raised else None
+
+
+def _rtl_overrunning():
+    from repro.gpu import Opcode
+    from repro.rtl import make_microbenchmark, run_campaign
+
+    return run_campaign(make_microbenchmark(Opcode.FADD, "M"), "pipeline",
+                        10, seed=1, timeout=1e-6, vectorize=False)
+
+
+def _pvf_overrunning():
+    from repro.apps import make_application
+    from repro.swfi import SingleBitFlip, run_pvf_campaign
+
+    return run_pvf_campaign(make_application("MxM", seed=1),
+                            SingleBitFlip(), 6, seed=1, timeout=1e-6)
+
+
+class TestUnarmableTimeout:
+    """A timeout SIGALRM cannot enforce fails the campaign loudly
+    instead of running it unguarded."""
+
+    def test_off_the_main_thread_the_guard_refuses(self):
+        raised = _on_a_thread(lambda: wall_clock_limit(5).__enter__())
+        assert isinstance(raised, CampaignError)
+        assert "campaign-thread" in str(raised)
+        assert "main thread" in str(raised)
+        assert "n_jobs >= 2" in str(raised)
+
+    @pytest.mark.parametrize("campaign", [_rtl_overrunning,
+                                          _pvf_overrunning])
+    def test_a_campaign_with_a_timeout_raises_on_a_thread(self, campaign):
+        assert isinstance(_on_a_thread(campaign), CampaignError)
+
+    def test_on_the_main_thread_every_guarded_run_times_out(self):
+        assert _rtl_overrunning().count_timeouts() == 10
+        assert _pvf_overrunning().n_due == 6
 
 
 class TestMetricsThreading:

@@ -1,6 +1,7 @@
 """End-to-end pipeline: streaming build, stage-boundary resume."""
 
 import json
+import logging
 
 import pytest
 
@@ -18,7 +19,6 @@ CONFIG = dict(
     tmxm_faults=20,
     apps=["MxM"],
     injections=40,
-    quiet=True,
 )
 
 
@@ -114,17 +114,44 @@ class TestStageResume:
             summary["database"]["tmxm_entries"]
 
 
+class TestBuildDatabase:
+    def test_build_full_database_is_the_pipelines_rtl_stage(
+            self, tmp_path, caplog):
+        from repro.datafiles import build_full_database
+
+        caplog.set_level(logging.INFO, logger="repro.campaign.pipeline")
+        built = build_full_database(1, 1, seed=5)
+        built.save(tmp_path / "built.json")
+        workdir = tmp_path / "pipe"
+        run_pipeline(workdir, seed=5, grid_faults=1, tmxm_faults=1,
+                     apps=["MxM"], models=["bitflip"], injections=1)
+        assert (tmp_path / "built.json").read_bytes() == \
+            (workdir / "syndrome_db.json").read_bytes()
+        stages = [record.getMessage() for record in caplog.records
+                  if record.name == "repro.campaign.pipeline"]
+        assert stages == 2 * [
+            "[stage 1/3] RTL grid (1 faults/cell)",
+            "[stage 1/3] t-MxM tiles (1 faults/cell)",
+        ] + [
+            f"[stage 2/3] syndrome database saved to "
+            f"{workdir / 'syndrome_db.json'} ({len(built.entries())} "
+            f"entries, {len(built.tmxm_entries())} t-MxM entries)",
+            "[stage 3/3] PVF: MxM under bitflip (1 injections)",
+            f"pipeline complete: {workdir / 'pipeline_summary.json'}",
+        ]
+
+
 class TestValidation:
     def test_unknown_model_rejected(self, tmp_path):
         with pytest.raises(CampaignError):
-            run_pipeline(tmp_path, models=["voodoo"], quiet=True)
+            run_pipeline(tmp_path, models=["voodoo"])
 
     def test_unknown_app_rejected(self, tmp_path):
         with pytest.raises(KeyError):
             run_pipeline(tmp_path / "w", seed=1,
                          opcodes=[Opcode.FADD, Opcode.IADD],
                          grid_faults=10, tmxm_faults=10,
-                         apps=["NoSuchApp"], injections=10, quiet=True)
+                         apps=["NoSuchApp"], injections=10)
 
 
 class TestCancellation:
@@ -198,8 +225,7 @@ class TestPrecisionPipeline:
         summary = run_pipeline(
             workdir, seed=7, opcodes=[Opcode.FADD, Opcode.IADD],
             grid_faults=20, tmxm_faults=15, apps=["Transformer"],
-            models=["bitflip", "syndrome"], injections=8, quiet=True,
-            precision="fp16")
+            models=["bitflip", "syndrome"], injections=8, precision="fp16")
         return workdir, summary
 
     def test_summary_records_precision(self, fp16_run):
@@ -233,11 +259,9 @@ class TestPrecisionPipeline:
 
     def test_unknown_precision_fails_fast(self, tmp_path):
         with pytest.raises(CampaignError, match="precision"):
-            run_pipeline(tmp_path, apps=["MxM"], precision="fp8",
-                         quiet=True)
+            run_pipeline(tmp_path, apps=["MxM"], precision="fp8")
 
     def test_fp32_only_app_fails_before_rtl(self, tmp_path):
         with pytest.raises(ValueError, match="fp32 only"):
-            run_pipeline(tmp_path, apps=["MxM"], precision="fp16",
-                         quiet=True)
+            run_pipeline(tmp_path, apps=["MxM"], precision="fp16")
         assert not (tmp_path / "rtl_grid.jsonl").exists()

@@ -191,13 +191,12 @@ class TestFilesAndDiscovery:
         with pytest.raises(CampaignError):
             load_metrics(tmp_path / "missing.json")
 
-    def test_resolve_metrics_auto_creates_for_checkpointed_runs(self):
-        assert resolve_metrics(None, None, "s") is None
-        created = resolve_metrics(None, "journal.jsonl", "s")
+    def test_resolve_metrics_creates_one_for_the_stage(self):
+        created = resolve_metrics(None, "s")
         assert isinstance(created, CampaignMetrics)
         assert created.stage == "s"
         existing = CampaignMetrics("mine")
-        assert resolve_metrics(existing, "journal.jsonl", "s") is existing
+        assert resolve_metrics(existing, "s") is existing
 
     def test_emit_metrics_writes_next_to_journal(self, tmp_path):
         journal = tmp_path / "c.jsonl"

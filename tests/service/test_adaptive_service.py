@@ -163,7 +163,7 @@ class TestWorkerPacing:
 @pytest.fixture
 def daemon(tmp_path):
     with ServiceDaemon(tmp_path / "svc", port=0, poll_interval=0.05,
-                       quiet=True, execute_jobs=False) as daemon:
+                       execute_jobs=False) as daemon:
         yield daemon
 
 

@@ -12,8 +12,7 @@ from repro.service.scheduler import normalize_params
 @pytest.fixture(scope="module")
 def daemon(tmp_path_factory):
     workdir = tmp_path_factory.mktemp("faultmodel-service")
-    with ServiceDaemon(workdir, port=0, poll_interval=0.05,
-                       quiet=True) as daemon:
+    with ServiceDaemon(workdir, port=0, poll_interval=0.05) as daemon:
         yield daemon
 
 

@@ -70,8 +70,8 @@ def _direct(tmp_path, kind, params):
 
 
 def _in_process(tmp_path, kind, params):
-    with ServiceDaemon(tmp_path / "in-process", port=0, poll_interval=0.05,
-                       quiet=True) as daemon:
+    with ServiceDaemon(tmp_path / "in-process", port=0,
+                       poll_interval=0.05) as daemon:
         client = ServiceClient(daemon.url, timeout=30.0)
         job = client.wait(client.submit(kind, **params)["id"], timeout=240)
     assert job["state"] == "done", job
@@ -132,7 +132,7 @@ class TestShardedBudget:
 
     def test_a_drained_job_fails_like_an_in_process_run(self, tmp_path):
         with ServiceDaemon(tmp_path / "in-process", port=0,
-                           poll_interval=0.05, quiet=True) as daemon:
+                           poll_interval=0.05) as daemon:
             client = ServiceClient(daemon.url, timeout=30.0)
             in_process = client.wait(client.submit(
                 "pvf", units_per_claim=1, **self.PARAMS)["id"], timeout=60)
@@ -141,7 +141,7 @@ class TestShardedBudget:
             BudgetExceeded.for_job(in_process["id"], 1e-6))
 
         with ServiceDaemon(tmp_path / "svc", port=0, poll_interval=0.05,
-                           quiet=True, execute_jobs=False) as daemon:
+                           execute_jobs=False) as daemon:
             client = ServiceClient(daemon.url, timeout=30.0)
             job_id = client.submit("pvf", units_per_claim=1,
                                    **self.PARAMS)["id"]
@@ -292,7 +292,7 @@ class TestCoordinatorOnlySubmit:
                                "params": {}})["state"] == "queued"
 
     def test_http_answer_names_the_reason(self, tmp_path):
-        with ServiceDaemon(tmp_path / "svc", port=0, quiet=True,
+        with ServiceDaemon(tmp_path / "svc", port=0,
                            execute_jobs=False) as daemon:
             client = ServiceClient(daemon.url, timeout=30.0)
             with pytest.raises(ServiceError, match=r"\(422\).*pipeline"):
@@ -334,7 +334,7 @@ class TestUnenforceableTimeout:
         assert job["params"]["timeout"] == 5
 
     def test_http_answer_names_the_reason(self, tmp_path):
-        with ServiceDaemon(tmp_path / "svc", port=0, quiet=True) as daemon:
+        with ServiceDaemon(tmp_path / "svc", port=0) as daemon:
             client = ServiceClient(daemon.url, timeout=30.0)
             with pytest.raises(ServiceError,
                                match=r"\(422\).*cannot be enforced"):

@@ -146,8 +146,7 @@ class TestCancelFinishRace:
 class TestSchedulerSurvivesStoreErrors:
     def test_run_forever_outlives_transient_lock_errors(self, tmp_path):
         store = JobStore(tmp_path / "jobs.sqlite3")
-        scheduler = Scheduler(store, tmp_path, poll_interval=0.01,
-                              quiet=True)
+        scheduler = Scheduler(store, tmp_path, poll_interval=0.01)
         real_maintain = scheduler.maintain
         calls = {"failures": 0}
 
@@ -202,7 +201,7 @@ class TestBudgetClassification:
                                                      tmp_path):
         # a pipeline's budget is checked on the scheduler thread...
         store.submit("pipeline", _tiny_pipeline_params(budget=1e-6))
-        job = Scheduler(store, tmp_path, quiet=True).run_once()
+        job = Scheduler(store, tmp_path).run_once()
         assert job.state == "failed"
         assert "budget" in job.error
         assert "requeue" in job.error
@@ -210,8 +209,8 @@ class TestBudgetClassification:
         # ...a pvf job's by the reaper, while the local worker runs it
         from repro.service import ServiceClient
 
-        with ServiceDaemon(tmp_path / "svc", port=0, poll_interval=0.05,
-                           quiet=True) as daemon:
+        with ServiceDaemon(tmp_path / "svc", port=0,
+                           poll_interval=0.05) as daemon:
             client = ServiceClient(daemon.url, timeout=30)
             job = client.wait(client.submit(
                 "pvf", app="MxM", injections=40, batch_size=2,
@@ -228,7 +227,7 @@ class TestBudgetClassification:
         store.submit("pipeline", _tiny_pipeline_params(budget=600))
         running = store.claim_next()
         store.request_cancel(running.id)  # stops at the first unit
-        scheduler = Scheduler(store, tmp_path, quiet=True)
+        scheduler = Scheduler(store, tmp_path)
         with pytest.raises(CampaignCancelled):
             execute_job(running, scheduler.jobdir(running.id),
                         store=store)
@@ -247,7 +246,7 @@ class TestTornTelemetry:
         assert leftovers == [], "temp file leaked by save()"
 
     def test_torn_metrics_degrade_to_no_telemetry(self, store, tmp_path):
-        scheduler = Scheduler(store, tmp_path, quiet=True)
+        scheduler = Scheduler(store, tmp_path)
         service = CampaignService(store, scheduler)
         job = store.submit("pvf", _tiny_pvf_params())
         jobdir = scheduler.jobdir(job.id)
@@ -260,7 +259,7 @@ class TestTornTelemetry:
 
     def test_torn_metrics_never_500_over_http(self, tmp_path):
         with ServiceDaemon(tmp_path / "svc", port=0, poll_interval=5,
-                           quiet=True, execute_jobs=False) as daemon:
+                           execute_jobs=False) as daemon:
             from repro.service import ServiceClient
 
             client = ServiceClient(daemon.url, timeout=30)
@@ -277,7 +276,7 @@ class TestHealthStaysCheap:
         for _ in range(5):
             store.submit("pipeline", {})
         store.claim_next()
-        scheduler = Scheduler(store, tmp_path, quiet=True)
+        scheduler = Scheduler(store, tmp_path)
         service = CampaignService(store, scheduler, max_queue_depth=10)
 
         def forbidden(*args, **kwargs):

@@ -99,8 +99,7 @@ _PIPELINE = {"apps": ["MxM"], "models": ["bitflip"], "opcodes": ["FADD"],
 @pytest.fixture
 def daemon(tmp_path):
     """An executing daemon whose local worker heartbeats every 0.5 s."""
-    daemon = ServiceDaemon(tmp_path / "svc", port=0, poll_interval=0.05,
-                           quiet=True)
+    daemon = ServiceDaemon(tmp_path / "svc", port=0, poll_interval=0.05)
     daemon.worker.lease_seconds = 1.5
     with daemon:
         yield daemon
@@ -290,7 +289,7 @@ class TestSchedulerLifecycle:
         scheduler = Scheduler(store, tmp_path)
         store.submit("pipeline", normalize_params("pipeline", {}))
 
-        def fake_execute(job, jobdir, store=None, quiet=True):
+        def fake_execute(job, jobdir, store=None):
             raise CampaignCancelled("stopped for the test")
 
         monkeypatch.setattr(scheduler_module, "execute_job", fake_execute)
@@ -306,7 +305,7 @@ class TestSchedulerLifecycle:
         scheduler = Scheduler(store, tmp_path)
         store.submit("pipeline", normalize_params("pipeline", {}))
 
-        def fake_execute(job, jobdir, store=None, quiet=True):
+        def fake_execute(job, jobdir, store=None):
             raise RuntimeError("worker exploded")
 
         monkeypatch.setattr(scheduler_module, "execute_job", fake_execute)
@@ -327,7 +326,7 @@ class TestSchedulerLifecycle:
     def test_restart_between_shards_resumes_bit_identically(self,
                                                             tmp_path):
         workdir = tmp_path / "svc"
-        with ServiceDaemon(workdir, port=0, poll_interval=0.05, quiet=True,
+        with ServiceDaemon(workdir, port=0, poll_interval=0.05,
                            execute_jobs=False) as daemon:
             client = ServiceClient(daemon.url, timeout=30.0)
             job_id = client.submit("pvf", app="MxM", injections=20, seed=5,
@@ -335,8 +334,7 @@ class TestSchedulerLifecycle:
             CampaignWorker(daemon.url, name="w0").run_forever(max_claims=1)
         # the daemon went down with the job running and no shard leased;
         # an executing daemon on the same workdir re-queues it at start
-        with ServiceDaemon(workdir, port=0, poll_interval=0.05,
-                           quiet=True) as daemon:
+        with ServiceDaemon(workdir, port=0, poll_interval=0.05) as daemon:
             job = ServiceClient(daemon.url, timeout=30.0).wait(
                 job_id, timeout=60)
         assert job["state"] == "done"

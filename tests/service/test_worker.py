@@ -9,6 +9,7 @@ report is bit-identical to the direct synchronous run.
 """
 
 import json
+import logging
 import time
 
 import pytest
@@ -24,7 +25,7 @@ from repro.service import (
 @pytest.fixture
 def daemon(tmp_path):
     with ServiceDaemon(tmp_path / "svc", port=0, poll_interval=0.05,
-                       quiet=True, execute_jobs=False) as daemon:
+                       execute_jobs=False) as daemon:
         yield daemon
 
 
@@ -176,7 +177,7 @@ class TestWorkerFleet:
 class TestBackpressure:
     def test_saturated_queue_answers_429(self, tmp_path):
         with ServiceDaemon(tmp_path / "svc", port=0, poll_interval=5,
-                           quiet=True, execute_jobs=False,
+                           execute_jobs=False,
                            max_queue_depth=1) as daemon:
             client = ServiceClient(daemon.url, timeout=30)
             client.submit("pvf", app="MxM", injections=5)
@@ -188,8 +189,35 @@ class TestBackpressure:
 
     def test_priority_must_be_an_integer(self, tmp_path):
         with ServiceDaemon(tmp_path / "svc", port=0, poll_interval=5,
-                           quiet=True, execute_jobs=False) as daemon:
+                           execute_jobs=False) as daemon:
             client = ServiceClient(daemon.url, timeout=30)
             with pytest.raises(ServiceError, match="400"):
                 client.submit("pvf", app="MxM", injections=5,
                               priority="high")
+
+
+class TestEvents:
+    def test_executing_daemon_logs_its_local_workers_events(
+            self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="repro")
+        with ServiceDaemon(tmp_path / "svc", port=0,
+                           poll_interval=0.05) as daemon:
+            client = ServiceClient(daemon.url, timeout=30)
+            job = client.submit("pvf", app="MxM", injections=10, seed=5,
+                                batch_size=5, units_per_claim=2)
+            assert client.wait(job["id"], timeout=120)["state"] == "done"
+
+        def events(logger):
+            return [record.getMessage() for record in caplog.records
+                    if record.name == logger
+                    and record.levelno == logging.INFO]
+
+        worker = events("repro.service.worker")
+        assert f"[worker local] claimed job {job['id']} units [0, 2)" \
+            in worker
+        assert any(line.startswith(f"[worker local] delivered job "
+                                   f"{job['id']} units [0, 2) (job state: ")
+                   for line in worker), worker
+        # the HTTP access log is an event stream of its own
+        assert any('"POST /claim HTTP/1.1" 200' in line
+                   for line in events("repro.service.api"))

@@ -102,6 +102,14 @@ class TestCommands:
         assert "AVF" in captured.out
         assert "[2/2]" in captured.err  # two fault batches reported
 
+    def test_repeated_runs_log_each_line_once(self, capsys):
+        argv = ["campaign", "--opcode", "IADD", "--module", "int",
+                "--faults", "10"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv) == 0  # a second main() stacks no handler
+        assert capsys.readouterr().err.count("[1/1] rtl-cell ") == 1
+
     def test_pipeline_end_to_end_and_rerun(self, capsys, tmp_path):
         workdir = tmp_path / "pipe"
         argv = ["pipeline", "--workdir", str(workdir), "--seed", "7",
