@@ -126,7 +126,6 @@ def run_adaptive_campaign(
     kind: Optional[str] = None,
     n_jobs: int = 1,
     batch_size: Optional[int] = DEFAULT_BATCH_SIZE,
-    timeout: Optional[float] = None,
     checkpoint: Optional[Union[str, Path]] = None,
     resume: bool = False,
     metrics: Optional[CampaignMetrics] = None,
@@ -144,14 +143,14 @@ def run_adaptive_campaign(
     truncated at the same unit horizon.  ``batch_size`` defaults to
     :data:`DEFAULT_BATCH_SIZE` rather than a single whole-campaign
     unit, for the same reason as :func:`run_adaptive_grid`.
-    ``vectorize`` and ``timeout`` mean what they mean to ``run_campaign``:
-    the batch engine by default, ``False`` for the reference loop.
+    ``vectorize`` means what it means to ``run_campaign``: the batch
+    engine by default, ``False`` for the reference loop.
     """
     from ..rtl.campaign import cell_spec
 
     spec = cell_spec(bench, module, n_faults, seed, kind,
-                     batch_size=batch_size, timeout=timeout,
-                     config=sm_config, vectorize=vectorize)
+                     batch_size=batch_size, config=sm_config,
+                     vectorize=vectorize)
     return _run_adaptive(spec, config, n_jobs=n_jobs, checkpoint=checkpoint,
                          resume=resume, metrics=metrics, cancel=cancel)
 
@@ -166,7 +165,6 @@ def run_adaptive_grid(
     *,
     n_jobs: int = 1,
     batch_size: Optional[int] = DEFAULT_BATCH_SIZE,
-    timeout: Optional[float] = None,
     checkpoint: Optional[Union[str, Path]] = None,
     resume: bool = False,
     metrics: Optional[CampaignMetrics] = None,
@@ -192,8 +190,7 @@ def run_adaptive_grid(
 
     spec = grid_spec(CHARACTERIZED_OPCODES if opcodes is None else opcodes,
                      input_ranges, modules, n_faults, seed,
-                     batch_size=batch_size, timeout=timeout,
-                     config=sm_config, vectorize=vectorize,
-                     precision=precision)
+                     batch_size=batch_size, config=sm_config,
+                     vectorize=vectorize, precision=precision)
     return _run_adaptive(spec, config, n_jobs=n_jobs, checkpoint=checkpoint,
                          resume=resume, metrics=metrics, cancel=cancel)

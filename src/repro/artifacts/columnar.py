@@ -80,11 +80,6 @@ class StringPool:
         return np.array([self.intern(v) for v in other._values],
                         dtype=np.int32)
 
-    def ids_containing(self, needle: str) -> np.ndarray:
-        """Ids of every pooled string containing *needle*."""
-        return np.array([i for i, v in enumerate(self._values)
-                         if needle in v], dtype=np.int32)
-
     def __len__(self) -> int:
         return len(self._values)
 
@@ -239,14 +234,6 @@ class GeneralColumns(_Columns):
         if count == 0:
             return 0.0
         return float(rows["threads"][sdc].sum()) / count
-
-    def count_due_containing(self, needle: str) -> int:
-        """DUE rows whose reason contains *needle* (timeout sniffing)."""
-        matching = self._pool.ids_containing(needle)
-        if not len(matching):
-            return 0
-        return int(np.count_nonzero(
-            np.isin(self.rows()["due"], matching)))
 
 
 class DetailedColumns(_Columns):

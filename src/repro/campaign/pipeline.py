@@ -68,8 +68,7 @@ def run_rtl_stage(workdir: Optional[Path], *, seed: int,
                   grid_faults: int, tmxm_faults: int, opcodes=None,
                   input_ranges: Sequence[str] = ("S", "M", "L"),
                   n_jobs: int = 1, batch_size: Optional[int] = None,
-                  timeout: Optional[float] = None, fresh: bool = False,
-                  precision: str = "fp32",
+                  fresh: bool = False, precision: str = "fp32",
                   cancel: Optional[Callable[[], bool]] = None
                   ) -> Tuple[SyndromeDatabase, List[CampaignMetrics]]:
     """Stage 1: the RTL instruction grid (at *seed*) and the t-MxM
@@ -90,12 +89,11 @@ def run_rtl_stage(workdir: Optional[Path], *, seed: int,
          builder.add_report,
          grid_spec(CHARACTERIZED_OPCODES if opcodes is None else opcodes,
                    input_ranges, n_faults=grid_faults, seed=seed,
-                   batch_size=batch_size, timeout=timeout,
-                   precision=precision)),
+                   batch_size=batch_size, precision=precision)),
         (f"t-MxM tiles ({tmxm_faults} faults/cell)", "tmxm.jsonl",
          builder.add_tmxm_report,
          tmxm_spec(n_faults=tmxm_faults, seed=seed + 1,
-                   batch_size=batch_size, timeout=timeout)),
+                   batch_size=batch_size)),
     ]
     stage_metrics = []
     for title, name, add, spec in stages:
@@ -145,6 +143,9 @@ def run_pipeline(workdir: Union[str, Path],
     *workdir* resumes: finished RTL batches replay from their journals, a
     finished database skips the RTL stages, and finished PVF batches
     replay from theirs.  ``fresh=True`` discards all prior state.
+    ``timeout`` is the wall-clock guard of each PVF stage injection; the
+    RTL stages need none, since the SM's cycle watchdog ends every
+    simulated run that hangs.
     ``precision`` selects the float datapath end to end: the RTL grid
     characterises the matching reduced-precision unit, the syndrome
     database keys its entries by format, and the applications (which
@@ -204,8 +205,8 @@ def run_pipeline(workdir: Union[str, Path],
             workdir, seed=seed, opcodes=opcodes,
             input_ranges=input_ranges, grid_faults=grid_faults,
             tmxm_faults=tmxm_faults, n_jobs=n_jobs,
-            batch_size=batch_size, timeout=timeout, fresh=fresh,
-            precision=precision, cancel=cancel)
+            batch_size=batch_size, fresh=fresh, precision=precision,
+            cancel=cancel)
         stage_metrics.extend(m.to_dict() for m in rtl_metrics)
         database.save(db_path)
         _log.info("[stage 2/3] syndrome database saved to %s "

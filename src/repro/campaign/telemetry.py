@@ -72,7 +72,7 @@ class UnitRecord:
     queue_wait: float = 0.0     # submit -> execution start (pool lag)
     cached: bool = False        # replayed from the journal, not re-run
     worker: int = 0             # executing process id (0 = unknown)
-    timeouts: int = 0           # wall-clock-guard DUEs inside the unit
+    timeouts: int = 0           # reserved: no report counts guard DUEs
     retries: int = 0            # reserved: engine does not retry yet
     outcomes: Dict[str, int] = field(default_factory=dict)
     injections: int = 0
@@ -103,16 +103,6 @@ def _sniff_outcomes(report: Any) -> Dict[str, int]:
     return out
 
 
-def _sniff_timeouts(report: Any) -> int:
-    """Wall-clock-guard DUEs of a report that counts them.
-
-    RTL cell and signature reports do (``count_timeouts``); a PVF
-    report keeps outcome tallies only.
-    """
-    counter = getattr(report, "count_timeouts", None)
-    return int(counter()) if callable(counter) else 0
-
-
 class CampaignMetrics:
     """Accumulates per-unit telemetry for one campaign stage.
 
@@ -131,6 +121,11 @@ class CampaignMetrics:
         self.units: List[UnitRecord] = []
         self._started = time.perf_counter() - elapsed
         self._wall: Optional[float] = None
+        # outcome totals folded over the first ``_folded`` rows of the
+        # list ``_tallied`` (see outcome_totals)
+        self._tallied: Optional[List[UnitRecord]] = None
+        self._folded = 0
+        self._totals: Dict[str, int] = {}
 
     # -- collection ---------------------------------------------------------
     def record_unit(self, index: int, label: str = "", size: int = 0,
@@ -144,7 +139,6 @@ class CampaignMetrics:
             seconds=max(0.0, seconds), queue_wait=max(0.0, queue_wait),
             cached=cached,
             worker=os.getpid() if worker is None else worker,
-            timeouts=_sniff_timeouts(report) if report is not None else 0,
             outcomes=_sniff_outcomes(report) if report is not None else {},
             injections=int(getattr(report, "n_injections", 0) or 0),
         )
@@ -179,11 +173,22 @@ class CampaignMetrics:
         return time.perf_counter() - self._started
 
     def outcome_totals(self) -> Dict[str, int]:
-        totals: Dict[str, int] = {}
-        for unit in self.units:
+        """Outcome tallies summed over every unit, keys in first-seen order.
+
+        Folds only the units appended since the last call, so the
+        engine's per-unit heartbeat stays constant-time; a ``units``
+        list that was reassigned (``from_dict``) or shortened is folded
+        again from its start.
+        """
+        units = self.units
+        if units is not self._tallied or len(units) < self._folded:
+            self._tallied, self._folded, self._totals = units, 0, {}
+        totals = self._totals
+        for unit in units[self._folded:]:
             for key, value in unit.outcomes.items():
                 totals[key] = totals.get(key, 0) + value
-        return totals
+        self._folded = len(units)
+        return dict(totals)
 
     def injections_total(self) -> int:
         return sum(u.injections for u in self.units)

@@ -743,7 +743,9 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["bitflip", "syndrome", "both"])
     pipeline.add_argument("--injections", type=int, default=300)
     pipeline.add_argument("--timeout", type=float, default=None,
-                          help="wall-clock seconds per injected run")
+                          help="wall-clock seconds per PVF-stage injected "
+                               "run (RTL runs end at the SM's cycle "
+                               "watchdog)")
     pipeline.add_argument("--fresh", action="store_true",
                           help="ignore existing checkpoints and database "
                                "in --workdir and start over")
@@ -817,7 +819,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for the job's campaign")
     submit.add_argument("--batch-size", type=int, default=None)
     submit.add_argument("--timeout", type=float, default=None,
-                        help="wall-clock seconds per injected run")
+                        help="pvf / pipeline jobs: wall-clock seconds per "
+                             "software-injected run (rtl jobs take none; "
+                             "the SM's cycle watchdog ends their hangs)")
     submit.add_argument("--budget", type=float, default=None,
                         help="wall-clock seconds for the whole job; an "
                              "over-budget job fails (requeue to resume)")

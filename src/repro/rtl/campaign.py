@@ -280,14 +280,13 @@ def _rtl_state(config: Optional[SMConfig] = None) -> _RTLWorkerState:
 
 
 def _run_rtl_unit(state: _RTLWorkerState, unit: WorkUnit,
-                  timeout: Optional[float] = None,
                   vectorize: bool = True) -> CampaignReport:
     """Engine unit runner: one fault batch against one campaign cell.
 
     ``vectorize`` runs the batch through
     :meth:`~repro.rtl.vectorized.VectorizedRTLInjector.inject_batch`,
     which picks each fault's path itself; ``False`` runs the reference
-    loop, one guarded simulation per fault from cycle 0.
+    loop, one simulation per fault from cycle 0.
     """
     spec: _CellSpec = unit.spec
     if vectorize:
@@ -301,12 +300,10 @@ def _run_rtl_unit(state: _RTLWorkerState, unit: WorkUnit,
         kind=spec.fault_kind, burst_width=spec.burst_width,
         burst_window=spec.burst_window)
     if vectorize:
-        classifications = state.vectorized().inject_batch(
-            workload, faults, timeout=timeout)
+        classifications = state.vectorized().inject_batch(workload, faults)
     else:
-        classifications = [
-            state.injector.inject_guarded(bench, golden, fault, timeout)
-            for fault in faults]
+        classifications = [state.injector.inject(bench, golden, fault)
+                           for fault in faults]
     report = CampaignReport(
         instruction=bench.opcode.value,
         input_range=bench.input_range,
@@ -323,15 +320,13 @@ def _run_rtl_unit(state: _RTLWorkerState, unit: WorkUnit,
     return report
 
 
-def _run_signature_unit(state: _RTLWorkerState, unit: WorkUnit,
-                        timeout: Optional[float] = None
-                        ) -> SignatureReport:
+def _run_signature_unit(state: _RTLWorkerState,
+                        unit: WorkUnit) -> SignatureReport:
     """Engine unit runner: one (fault, application) signature exercise."""
     spec: _SignatureSpec = unit.spec
     bench, golden = state.bench_and_golden(spec.bench)
     fault = state.signature_fault(spec)
-    classification = state.injector.inject_guarded(bench, golden, fault,
-                                                   timeout)
+    classification = state.injector.inject(bench, golden, fault)
     report = SignatureReport(
         module=spec.module,
         fault_model=spec.fault_model,
@@ -397,19 +392,18 @@ def _plan_cell(spec: _CellSpec, n_faults: int, seed: int,
     return Cell(label, units, partial(_empty_cell_report, spec))
 
 
-def _rtl_spec(cells: List[Cell], header: dict, timeout: Optional[float],
-              vectorize: bool, config: Optional[SMConfig]) -> CampaignSpec:
+def _rtl_spec(cells: List[Cell], header: dict, vectorize: bool,
+              config: Optional[SMConfig]) -> CampaignSpec:
     return CampaignSpec(
         cells=cells, header=header, schema="rtl-report",
         stage=header["campaign"],
-        run_unit=partial(_run_rtl_unit, timeout=timeout, vectorize=vectorize),
+        run_unit=partial(_run_rtl_unit, vectorize=vectorize),
         state_factory=partial(_rtl_state, config))
 
 
 def cell_spec(bench: Microbenchmark, module: str, n_faults: int,
               seed: int = 0, kind: Optional[str] = None, *,
               batch_size: Optional[int] = None,
-              timeout: Optional[float] = None,
               config: Optional[SMConfig] = None,
               vectorize: bool = True,
               fault_model: str = "transient",
@@ -445,7 +439,7 @@ def cell_spec(bench: Microbenchmark, module: str, n_faults: int,
         header["fault_model"] = fault_model
     cell = _plan_cell(spec, n_faults, seed, batch_size, 0,
                       f"{bench.name}/{module}")
-    return _rtl_spec([cell], header, timeout, vectorize, config)
+    return _rtl_spec([cell], header, vectorize, config)
 
 
 def grid_spec(opcodes: Iterable[Opcode] = CHARACTERIZED_OPCODES,
@@ -454,7 +448,6 @@ def grid_spec(opcodes: Iterable[Opcode] = CHARACTERIZED_OPCODES,
               n_faults: int = 200,
               seed: int = 0, *,
               batch_size: Optional[int] = None,
-              timeout: Optional[float] = None,
               config: Optional[SMConfig] = None,
               vectorize: bool = True,
               precision: str = "fp32") -> CampaignSpec:
@@ -492,7 +485,7 @@ def grid_spec(opcodes: Iterable[Opcode] = CHARACTERIZED_OPCODES,
     # fp32 headers stay byte-identical so pre-precision journals resume
     if precision != "fp32":
         header["precision"] = precision
-    return _rtl_spec(cells, header, timeout, vectorize, config)
+    return _rtl_spec(cells, header, vectorize, config)
 
 
 def tmxm_spec(tile_kinds: Iterable[str] = TILE_KINDS,
@@ -501,7 +494,6 @@ def tmxm_spec(tile_kinds: Iterable[str] = TILE_KINDS,
               seed: int = 0, *,
               use_shared_memory: bool = False,
               batch_size: Optional[int] = None,
-              timeout: Optional[float] = None,
               config: Optional[SMConfig] = None,
               vectorize: bool = True) -> CampaignSpec:
     """The spec of the t-MxM tile grid: see :func:`run_tmxm_grid`."""
@@ -531,7 +523,7 @@ def tmxm_spec(tile_kinds: Iterable[str] = TILE_KINDS,
         "seed": int(seed),
         "batch_size": None if batch_size is None else int(batch_size),
     }
-    return _rtl_spec(cells, header, timeout, vectorize, config)
+    return _rtl_spec(cells, header, vectorize, config)
 
 
 def default_signature_apps(module: str) -> List[str]:
@@ -599,7 +591,6 @@ def signature_spec(module: str, n_faults: int, seed: int = 0,
                    apps: Optional[Sequence[str]] = None,
                    fault_model: str = "stuck-at",
                    kind: Optional[str] = None, *,
-                   timeout: Optional[float] = None,
                    config: Optional[SMConfig] = None) -> CampaignSpec:
     """The spec of a signature campaign: see
     :func:`run_signature_campaign`.
@@ -645,7 +636,7 @@ def signature_spec(module: str, n_faults: int, seed: int = 0,
     return CampaignSpec(
         cells=[Cell(f"{module}/{fault_model}", units, empty)],
         header=header, schema="signature-report", stage="rtl-signature",
-        run_unit=partial(_run_signature_unit, timeout=timeout),
+        run_unit=_run_signature_unit,
         state_factory=partial(_rtl_state, config))
 
 
@@ -668,7 +659,6 @@ def run_campaign(
     *,
     n_jobs: int = 1,
     batch_size: Optional[int] = None,
-    timeout: Optional[float] = None,
     checkpoint: Optional[Union[str, Path]] = None,
     resume: bool = False,
     metrics: Optional[CampaignMetrics] = None,
@@ -702,18 +692,17 @@ def run_campaign(
     ``batch_size`` shards the fault list into deterministic seed-indexed
     batches that ``n_jobs`` worker processes execute concurrently (each
     worker builds its own SM from *config*; *injector* must be None);
-    ``checkpoint``/``resume`` journal finished batches, ``timeout``
-    bounds each simulated run and turns one that overruns into a DUE
-    (faults resolved from the trace or replayed run no simulation; off
-    the main thread a timeout needs ``n_jobs >= 2``).
-    For a fixed ``(seed, batch_size)`` the merged report is
+    ``checkpoint``/``resume`` journal finished batches.  A simulated run
+    that hangs ends at the SM's cycle watchdog (``max(10 x golden
+    cycles, 2000)``) as a DUE, on any thread and without a wall-clock
+    guard.  For a fixed ``(seed, batch_size)`` the merged report is
     bit-identical across any ``n_jobs`` and any kill/resume boundary.
     ``metrics`` collects per-batch telemetry (a fresh collector when
     None; written next to the journal of a checkpointed run);
     ``n_faults=0`` yields an empty report.
     """
     spec = cell_spec(bench, module, n_faults, seed, kind,
-                     batch_size=batch_size, timeout=timeout, config=config,
+                     batch_size=batch_size, config=config,
                      vectorize=vectorize, fault_model=fault_model,
                      burst_width=burst_width, burst_window=burst_window)
     results = spec.run(n_jobs=n_jobs, state=_shared_state(injector, config),
@@ -732,7 +721,6 @@ def run_signature_campaign(
     kind: Optional[str] = None,
     *,
     n_jobs: int = 1,
-    timeout: Optional[float] = None,
     checkpoint: Optional[Union[str, Path]] = None,
     resume: bool = False,
     metrics: Optional[CampaignMetrics] = None,
@@ -753,7 +741,7 @@ def run_signature_campaign(
     boundary, exactly like the transient campaigns.
     """
     spec = signature_spec(module, n_faults, seed, apps, fault_model, kind,
-                          timeout=timeout, config=config)
+                          config=config)
     check_signature_suite(module, apps)
     results = spec.run(n_jobs=n_jobs, state=_shared_state(injector, config),
                        checkpoint=checkpoint, resume=resume,
@@ -771,7 +759,6 @@ def run_grid(
     n_jobs: int = 1,
     *,
     batch_size: Optional[int] = None,
-    timeout: Optional[float] = None,
     checkpoint: Optional[Union[str, Path]] = None,
     resume: bool = False,
     metrics: Optional[CampaignMetrics] = None,
@@ -795,16 +782,17 @@ def run_grid(
     ``consume`` streams per-batch reports (in deterministic unit order)
     to a downstream builder, and ``collect=False`` drops them afterwards
     to bound memory on huge grids.  ``vectorize`` (default True) runs
-    each unit's fault batch through the trace-driven batch engine, with
-    or without a ``timeout``; its merged reports are bit-identical to
-    ``vectorize=False`` (the reference loop) for the same seed.
+    each unit's fault batch through the trace-driven batch engine; its
+    merged reports are bit-identical to ``vectorize=False`` (the
+    reference loop) for the same seed.  A hanging run ends at the SM's
+    cycle watchdog, as in :func:`run_campaign`.
     ``precision`` re-runs the float-opcode cells in a reduced format:
     micro-benchmarks sample that format's own S/M/L ranges, programs
     execute on the fp16/bf16 datapath, and its module replaces ``fp32``
     in the grid — non-float cells are unaffected.
     """
     spec = grid_spec(opcodes, input_ranges, modules, n_faults, seed,
-                     batch_size=batch_size, timeout=timeout, config=config,
+                     batch_size=batch_size, config=config,
                      vectorize=vectorize, precision=precision)
     results = spec.run(n_jobs=n_jobs, state=_shared_state(injector, config),
                        checkpoint=checkpoint, resume=resume,
@@ -823,7 +811,6 @@ def run_tmxm_grid(
     *,
     use_shared_memory: bool = False,
     batch_size: Optional[int] = None,
-    timeout: Optional[float] = None,
     checkpoint: Optional[Union[str, Path]] = None,
     resume: bool = False,
     metrics: Optional[CampaignMetrics] = None,
@@ -843,7 +830,7 @@ def run_tmxm_grid(
     """
     spec = tmxm_spec(tile_kinds, modules, n_faults, seed,
                      use_shared_memory=use_shared_memory,
-                     batch_size=batch_size, timeout=timeout, config=config,
+                     batch_size=batch_size, config=config,
                      vectorize=vectorize)
     results = spec.run(n_jobs=n_jobs, state=_shared_state(injector, config),
                        checkpoint=checkpoint, resume=resume,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..campaign.engine import UnitTimeout, wall_clock_limit
 from ..errors import FaultDecayedError, GpuHardwareError
 from ..gpu.fault_plane import FaultModel
 from ..gpu.sm import (
@@ -28,7 +27,9 @@ from .reports import FaultDescriptor
 __all__ = ["GoldenRun", "RTLInjector"]
 
 #: Watchdog budget relative to the golden run length; a fault run that
-#: exceeds this is a hang (DUE).
+#: exceeds this (or 2000 cycles, whichever is larger) is a hang (DUE).
+#: It is the RTL level's only hang guard: it counts simulated cycles, so
+#: it fires on any thread and whatever the host's speed.
 _WATCHDOG_FACTOR = 10
 
 
@@ -74,7 +75,10 @@ class RTLInjector:
 
         ``start`` forks the run from a golden checkpoint of *bench* taken
         at or before the fault's activation cycle (see
-        :meth:`StreamingMultiprocessor.launch`).
+        :meth:`StreamingMultiprocessor.launch`).  A run still going after
+        ``max(10 x golden cycles, 2000)`` cycles ends in the SM's
+        watchdog: a DUE whose reason reads ``GpuHangError: watchdog
+        expired after <n> cycles``.
         """
         fault.reset()  # allow fault-list reuse across runs
         max_cycles = max(_WATCHDOG_FACTOR * golden.cycles, 2_000)
@@ -103,26 +107,6 @@ class RTLInjector:
             [base for base, _ in bench.output_regions],
             fault_fired=fault.fired,
         )
-
-    def inject_guarded(self, bench: Microbenchmark, golden: GoldenRun,
-                       fault: FaultModel, timeout: Optional[float],
-                       start: Optional[SMCheckpoint] = None
-                       ) -> RunClassification:
-        """:meth:`inject` under a wall-clock guard of *timeout* seconds.
-
-        A run the guard stops is a DUE naming the guard; ``None`` runs
-        unguarded.
-        """
-        try:
-            with wall_clock_limit(timeout):
-                return self.inject(bench, golden, fault, start=start)
-        except UnitTimeout:
-            return RunClassification(
-                Outcome.DUE,
-                due_reason=f"wall-clock guard: injection exceeded "
-                           f"{timeout:g}s",
-                fault_fired=bool(getattr(fault, "fired", False)),
-            )
 
     @staticmethod
     def describe(fault: FaultModel) -> FaultDescriptor:

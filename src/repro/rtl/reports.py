@@ -173,10 +173,6 @@ class CampaignReport:
     def count(self, outcome: Outcome) -> int:
         return self.general.count(outcome)
 
-    def count_timeouts(self) -> int:
-        """Wall-clock-guard DUEs (vectorised; telemetry's sniff path)."""
-        return self.general.count_due_containing("wall-clock")
-
     @property
     def n_sdc(self) -> int:
         return self.count(Outcome.SDC)

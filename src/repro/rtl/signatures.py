@@ -132,11 +132,6 @@ class SignatureReport:
     def n_due(self) -> int:
         return self.count(Outcome.DUE)
 
-    def count_timeouts(self) -> int:
-        """Wall-clock-guard DUEs (telemetry's sniff path)."""
-        return sum(1 for r in self.records
-                   if r.due_reason and "wall-clock" in r.due_reason)
-
     def per_app_summary(self) -> Dict[str, Dict[str, int]]:
         """Outcome tallies and corrupted-word totals per application."""
         summary: Dict[str, Dict[str, int]] = {}

@@ -48,9 +48,9 @@ Out-of-bounds addresses computed from corrupted operands classify as
 DUE with exactly the scalar run's ``MemoryFaultError`` message.  This
 engine runs every production RTL cell; :meth:`RTLInjector.inject` from
 cycle 0, once per fault, is the reference it is compared against.  A
-wall-clock ``timeout`` guards each scalar fallback, the only runs that
-simulate: resolved and replayed faults are bounded by the recorded
-schedule.
+scalar fallback that hangs ends at the SM's cycle watchdog, as the
+reference run does; resolved and replayed faults are bounded by the
+recorded schedule.
 """
 
 from __future__ import annotations
@@ -181,7 +181,6 @@ class VectorizedRTLInjector:
     # -- batch injection ---------------------------------------------------
     def inject_batch(self, prepared: PreparedWorkload,
                      faults: Sequence[FaultModel],
-                     timeout: Optional[float] = None,
                      ) -> List[RunClassification]:
         """Classify every fault; results are in fault-list order.
 
@@ -196,10 +195,6 @@ class VectorizedRTLInjector:
         non-transient model — the trace resolution and single-flip
         replay both assume one XOR landing on one latch, while stuck-at
         and burst faults corrupt arbitrarily many.
-
-        ``timeout`` guards each forked run exactly as the reference loop
-        guards its runs; resolved and replayed faults run no simulation
-        and need no guard.
         """
         out: List[Optional[RunClassification]] = [None] * len(faults)
         recorder = prepared.recorder
@@ -241,8 +236,8 @@ class VectorizedRTLInjector:
                 else:
                     out[index] = classification
         for i, start in self._forks(prepared, faults, scalar):
-            out[i] = self.injector.inject_guarded(
-                prepared.bench, prepared.golden, faults[i], timeout, start)
+            out[i] = self.injector.inject(
+                prepared.bench, prepared.golden, faults[i], start)
         return out  # type: ignore[return-value]
 
     def _forks(self, prepared: PreparedWorkload,

@@ -8,8 +8,10 @@ Endpoints (all JSON unless noted):
   429 when the daemon was started with a queue-depth limit, and a
   coordinator without a scheduler answers 422 to pipeline jobs, which
   no worker can claim.  A daemon that runs jobs itself answers 422 to a
-  ``timeout`` on a ``jobs=1`` job: its local worker and pipeline
-  runner are threads, where the guard cannot fire.
+  ``timeout`` on a ``jobs=1`` pvf or pipeline job: its local worker and
+  pipeline runner are threads, where the SWFI wall-clock guard cannot
+  fire.  rtl jobs take no ``timeout`` (400): the SM's cycle watchdog
+  ends every simulated run that hangs, on any thread.
 * ``GET /jobs`` (``?state=queued|running|done|failed|cancelled``) —
   list jobs.
 * ``GET /jobs/<id>`` — one job, plus ``telemetry``: the live
@@ -157,7 +159,8 @@ class CampaignService:
                 422, "workers cannot claim a pipeline job — pipelines "
                      "run only on a daemon's own scheduler, and this one "
                      "was started with --no-scheduler")
-        if (self.scheduler.execute_jobs and params["timeout"] is not None
+        if (self.scheduler.execute_jobs
+                and params.get("timeout") is not None
                 and params["jobs"] < 2):
             # the wall-clock guard is a SIGALRM timer, which only a main
             # thread can take; pool processes and remote workers run
@@ -565,6 +568,13 @@ class _Handler(BaseHTTPRequestHandler):
         if _log.isEnabledFor(logging.INFO):
             _log.info("%s - - [%s] %s", self.address_string(),
                       self.log_date_time_string(), format % args)
+
+    def log_request(self, code="-", size="-"):
+        # an idle worker polls twice a second; its empty claims would
+        # bury every other line
+        if code == 204 and self.path == "/claim":
+            return
+        super().log_request(code, size)
 
     # -- helpers ------------------------------------------------------------
     def _send(self, status: int, body: bytes, content_type: str,

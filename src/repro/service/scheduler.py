@@ -98,21 +98,22 @@ def _canonical_app(name, factories) -> str:
     return match
 
 
-_COMMON_KEYS = {"seed", "jobs", "batch_size", "timeout", "budget",
-                "precision"}
+_COMMON_KEYS = {"seed", "jobs", "batch_size", "budget", "precision"}
 #: pvf/rtl jobs are claimed in unit shards by workers;
 #: ``units_per_claim`` caps how many units one claim hands out, and the
 #: adaptive trio (``target_ci``/``strategy``/``min_per_cell``) switches
 #: the job to sequential sampling over a moving unit horizon.
+#: ``timeout`` is the SWFI wall-clock guard, so rtl jobs have none: the
+#: SM's cycle watchdog ends every simulated run that hangs.
 _KIND_KEYS = {
-    "pvf": _COMMON_KEYS | {"app", "model", "injections",
+    "pvf": _COMMON_KEYS | {"timeout", "app", "model", "injections",
                            "units_per_claim", "target_ci", "strategy",
                            "min_per_cell"},
     "rtl": _COMMON_KEYS | {"opcode", "module", "range", "faults",
                            "units_per_claim", "target_ci", "strategy",
                            "min_per_cell", "fault_model", "apps",
                            "burst_width", "burst_window"},
-    "pipeline": _COMMON_KEYS | {"apps", "models", "opcodes",
+    "pipeline": _COMMON_KEYS | {"timeout", "apps", "models", "opcodes",
                                 "grid_faults", "tmxm_faults",
                                 "injections"},
 }
@@ -241,10 +242,11 @@ def normalize_params(kind: str, params: Optional[dict]) -> dict:
         "seed": _require_int(params, "seed", 0),
         "jobs": _require_int(params, "jobs", 1, minimum=1),
         "batch_size": _require_int(params, "batch_size", None, minimum=1),
-        "timeout": _require_number(params, "timeout"),
-        "budget": _require_number(params, "budget"),
-        "precision": _require_precision(params),
     }
+    if kind != "rtl":
+        out["timeout"] = _require_number(params, "timeout")
+    out.update(budget=_require_number(params, "budget"),
+               precision=_require_precision(params))
     precision = out["precision"]
     if kind == "pvf":
         app = _canonical_app(params.get("app"), APP_FACTORIES)
@@ -368,8 +370,7 @@ def job_spec(kind: str, params: dict):
         from ..rtl.campaign import signature_spec
 
         return signature_spec(params["module"], params["faults"],
-                              params["seed"], apps=params.get("apps"),
-                              timeout=params["timeout"])
+                              params["seed"], apps=params.get("apps"))
     if kind == "rtl":
         from ..gpu.isa import Opcode
         from ..rtl.campaign import cell_spec
@@ -379,9 +380,8 @@ def job_spec(kind: str, params: dict):
             Opcode(params["opcode"]), params["range"], seed=params["seed"],
             precision=params.get("precision", "fp32"))
         return cell_spec(bench, params["module"], params["faults"],
-                         params["seed"],
-                         batch_size=params["batch_size"],
-                         timeout=params["timeout"], fault_model=fault_model,
+                         params["seed"], batch_size=params["batch_size"],
+                         fault_model=fault_model,
                          burst_width=params.get("burst_width", 4),
                          burst_window=params.get("burst_window", 4))
     raise ServiceError(f"{kind} jobs cannot be sharded across workers")

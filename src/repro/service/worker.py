@@ -64,27 +64,21 @@ class CampaignWorker:
 
     Claims are self-paced: after the first delivered shard the worker
     knows its seconds-per-unit and caps every further claim
-    (``max_units``) so one claim spans about ``claim_seconds`` of work
-    — a slow machine claims narrow shards and stops starving faster
-    fleet members, see :meth:`target_units`.
+    (``max_units``) so one claim spans about one lease of work — a slow
+    machine claims narrow shards and stops starving faster fleet
+    members, see :meth:`target_units`.
     """
 
     def __init__(self, url: str, name: Optional[str] = None,
                  lease_seconds: float = 30.0,
                  poll_interval: float = 1.0,
-                 http_timeout: float = 30.0,
-                 claim_seconds: Optional[float] = None) -> None:
+                 http_timeout: float = 30.0) -> None:
         if lease_seconds <= 0:
             raise ServiceError("lease_seconds must be positive")
         self.client = ServiceClient(url, timeout=http_timeout)
         self.name = name or default_worker_name()
         self.lease_seconds = float(lease_seconds)
         self.poll_interval = float(poll_interval)
-        #: target wall clock per claim; claims are sized so
-        #: ``units * seconds-per-unit`` stays near it
-        self.claim_seconds = float(claim_seconds
-                                   if claim_seconds is not None
-                                   else lease_seconds)
         #: EMA of seconds per work unit, from delivered shards
         self._unit_seconds: Optional[float] = None
 
@@ -94,12 +88,12 @@ class CampaignWorker:
         Adapts the claim width to this machine's measured pace: until a
         shard has been delivered there is no telemetry and the claim
         takes whatever the service hands out; afterwards the cap keeps
-        one claim near ``claim_seconds`` of work, so slow units shrink
+        one claim near ``lease_seconds`` of work, so slow units shrink
         the claim (and fast ones let the service's shard width stand).
         """
         if not self._unit_seconds or self._unit_seconds <= 0:
             return None
-        return max(1, int(self.claim_seconds / self._unit_seconds))
+        return max(1, int(self.lease_seconds / self._unit_seconds))
 
     def _observe_units(self, units: int, elapsed: float) -> None:
         """Fold one delivered shard into the units/s telemetry (EMA)."""

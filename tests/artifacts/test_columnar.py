@@ -111,7 +111,6 @@ class TestMerge:
         expected = list(left) + list(right)
         left.extend(right)
         assert list(left) == expected
-        assert left.count_due_containing("wall-clock") == 1
 
     def test_detailed_extend_shifts_spans(self):
         left, right = DetailedColumns(), DetailedColumns()
@@ -198,13 +197,6 @@ class TestAggregates:
         expected = (sum(r.n_corrupted_threads for r in records)
                     / len(records))
         assert columns.mean_threads_sdc() == pytest.approx(expected)
-
-    def test_count_due_containing(self, columns):
-        records = list(columns)
-        expected = sum(1 for r in records
-                       if r.due_reason and "wall-clock" in r.due_reason)
-        assert columns.count_due_containing("wall-clock") == expected
-        assert columns.count_due_containing("no-such-reason") == 0
 
 
 class TestPickle:

@@ -90,7 +90,6 @@ class TestEmptyArtifacts:
         assert len(clone.detailed) == 0
         assert clone.avf() == 0.0
         assert clone.mean_corrupted_threads() == 0.0
-        assert clone.count_timeouts() == 0
         assert clone.to_dict() == report.to_dict()
 
     def test_empty_pvf_report(self):

@@ -277,20 +277,22 @@ def _on_a_thread(call):
     return raised[0] if raised else None
 
 
-def _rtl_overrunning():
-    from repro.gpu import Opcode
-    from repro.rtl import make_microbenchmark, run_campaign
-
-    return run_campaign(make_microbenchmark(Opcode.FADD, "M"), "pipeline",
-                        10, seed=1, timeout=1e-6, vectorize=False)
-
-
 def _pvf_overrunning():
     from repro.apps import make_application
     from repro.swfi import SingleBitFlip, run_pvf_campaign
 
     return run_pvf_campaign(make_application("MxM", seed=1),
                             SingleBitFlip(), 6, seed=1, timeout=1e-6)
+
+
+def _adaptive_pvf_overrunning():
+    from repro.adaptive import run_adaptive_pvf_campaign
+    from repro.apps import make_application
+    from repro.swfi import SingleBitFlip
+
+    return run_adaptive_pvf_campaign(make_application("MxM", seed=1),
+                                     SingleBitFlip(), 6, seed=1,
+                                     timeout=1e-6).report
 
 
 class TestUnarmableTimeout:
@@ -304,13 +306,12 @@ class TestUnarmableTimeout:
         assert "main thread" in str(raised)
         assert "n_jobs >= 2" in str(raised)
 
-    @pytest.mark.parametrize("campaign", [_rtl_overrunning,
-                                          _pvf_overrunning])
+    @pytest.mark.parametrize("campaign", [_pvf_overrunning,
+                                          _adaptive_pvf_overrunning])
     def test_a_campaign_with_a_timeout_raises_on_a_thread(self, campaign):
         assert isinstance(_on_a_thread(campaign), CampaignError)
 
     def test_on_the_main_thread_every_guarded_run_times_out(self):
-        assert _rtl_overrunning().count_timeouts() == 10
         assert _pvf_overrunning().n_due == 6
 
 

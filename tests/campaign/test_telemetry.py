@@ -21,10 +21,6 @@ from repro.campaign.telemetry import (
     resolve_metrics,
 )
 from repro.errors import CampaignError
-from repro.outcomes import Outcome
-from repro.rtl.classify import RunClassification
-from repro.rtl.reports import CampaignReport, FaultDescriptor
-from repro.rtl.signatures import SignatureRecord, SignatureReport
 
 
 class FakeReport:
@@ -52,23 +48,43 @@ class TestCollection:
                                             "due": 2}
         assert metrics.injections_total() == 50
 
-    def test_timeouts_sniffed_from_due_reasons(self):
-        # both report types that keep per-record DUE reasons count them
-        dues = [RunClassification(Outcome.DUE, due_reason=reason)
-                for reason in ("wall-clock guard: injection exceeded 1s",
-                               "illegal value")]
-        cell = CampaignReport("FADD", "M", "fp32")
-        signature = SignatureReport("fp32", "stuck-at", 1, apps=["a", "b"])
-        for app, due in zip(signature.apps, dues):
-            cell.add(FaultDescriptor("fp32", "r", 0, 0, 0), due,
-                     opcode="FADD", value_kind="f32")
-            signature.add(SignatureRecord.from_classification(0, app, {},
-                                                              due))
+    def test_outcome_totals_match_a_full_recount(self):
+        # the totals fold only the units added since the last call, so
+        # however the list grows or is replaced they must still equal a
+        # fresh sum, keys in first-seen order
+        def recount(units):
+            totals = {}
+            for unit in units:
+                for key, value in unit.outcomes.items():
+                    totals[key] = totals.get(key, 0) + value
+            return list(totals.items())
+
+        def check(metrics):
+            assert list(metrics.outcome_totals().items()) == \
+                recount(metrics.units)
+
         metrics = CampaignMetrics("stage")
-        for index, report in enumerate((cell, signature)):
-            assert metrics.record_unit(index, report=report).timeouts == 1
-        assert metrics.timeouts_total() == 2
-        assert metrics.record_unit(2, report=FakeReport(due=2)).timeouts == 0
+        check(metrics)
+        metrics.record_unit(0, report=FakeReport(sdc=1))
+        check(metrics)
+        metrics.record_unit(1, report=FakeReport(masked=3, due=1))
+        check(metrics)
+        # direct appends, as the service's shard metrics rebuild does
+        metrics.units.append(UnitRecord(index=2, outcomes={"due": 2}))
+        metrics.units.append(UnitRecord(index=3, outcomes={"sdc": 4}))
+        check(metrics)
+        metrics.outcome_totals()["sdc"] = -1  # callers get a copy
+        check(metrics)
+        # a new list, as from_dict assigns, then a shorter same list
+        metrics.units = [UnitRecord(index=0, outcomes={"due": 1}),
+                         UnitRecord(index=1, outcomes={"masked": 2})]
+        check(metrics)
+        del metrics.units[1:]
+        check(metrics)
+        metrics.units.append(UnitRecord(index=1, outcomes={"sdc": 1}))
+        check(metrics)
+        clone = CampaignMetrics.from_dict(metrics.to_dict())
+        check(clone)
 
     def test_cached_vs_run_counts(self):
         metrics = CampaignMetrics("stage", total_units=3)

@@ -7,11 +7,21 @@ serially, across worker processes, or split over a checkpoint/resume
 boundary.
 """
 
+import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.errors import CampaignError
 from repro.gpu import Opcode
-from repro.rtl import RTLInjector, run_campaign, run_grid, run_tmxm_grid
+from repro.rtl import (
+    RTLInjector,
+    run_campaign,
+    run_grid,
+    run_signature_campaign,
+    run_tmxm_grid,
+)
 from repro.rtl.classify import Outcome
 from repro.rtl.microbench import make_microbenchmark
 
@@ -142,12 +152,37 @@ class TestTmxmGrid:
             run_tmxm_grid(tile_kinds=["Diagonal"], n_faults=10)
 
 
-class TestWallClockGuard:
-    def test_timeout_classifies_as_due(self, injector):
-        bench = make_microbenchmark(Opcode.FADD, "M", seed=0)
-        report = run_campaign(bench, "fp32", 5, seed=0, injector=injector,
-                              timeout=1e-6, vectorize=False)
-        assert report.n_due == 5
-        assert all("wall-clock guard" in (r.due_reason or "")
-                   for r in report.general)
-        assert all(r.outcome is Outcome.DUE for r in report.general)
+#: Campaigns holding a stuck-at scheduler fault that loops the kernel
+#: until the SM's cycle watchdog ends it (each well under a second).
+HANGING = {
+    "cell": lambda: run_campaign(
+        make_microbenchmark(Opcode.IADD, "M"), "scheduler", 20, seed=5,
+        fault_model="stuck-at"),
+    "cell-reference-loop": lambda: run_campaign(
+        make_microbenchmark(Opcode.IADD, "M"), "scheduler", 20, seed=5,
+        fault_model="stuck-at", vectorize=False),
+    "signature": lambda: run_signature_campaign(
+        "scheduler", 8, seed=29, apps=["IADD/M"]),
+}
+
+
+def _due_reasons(report):
+    rows = report.general if hasattr(report, "general") else report.records
+    return [r.due_reason for r in rows if r.outcome is Outcome.DUE]
+
+
+class TestWatchdog:
+    """The cycle watchdog is the RTL level's one hang guard: it counts
+    simulated cycles, so a hang ends identically on any thread."""
+
+    @pytest.mark.parametrize("campaign", sorted(HANGING))
+    def test_a_hang_ends_at_the_watchdog_on_any_thread(self, campaign):
+        run = HANGING[campaign]
+        on_main = run()
+        assert threading.current_thread() is threading.main_thread()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            on_thread = pool.submit(run).result()
+        assert any(reason.startswith("GpuHangError: watchdog expired after ")
+                   for reason in _due_reasons(on_main))
+        assert json.dumps(on_thread.to_dict()) == \
+            json.dumps(on_main.to_dict())

@@ -148,11 +148,6 @@ class TestWorkerPacing:
             worker._observe_units(10, 1.0)  # 0.1 s/unit
         assert worker.target_units() > 50
 
-    def test_claim_seconds_decouples_from_the_lease(self):
-        worker = self._worker(claim_seconds=5.0)
-        worker._observe_units(1, 1.0)
-        assert worker.target_units() == 5
-
     def test_degenerate_observations_are_ignored(self):
         worker = self._worker()
         worker._observe_units(0, 1.0)

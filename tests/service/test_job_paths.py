@@ -299,12 +299,13 @@ class TestCoordinatorOnlySubmit:
                 client.submit("pipeline")
 
     def test_coordinators_accept_a_timeout(self, service):
-        # workers run their units on their main thread, where the
+        # workers run their units on their main thread, where the SWFI
         # wall-clock guard fires
-        for kind, params in JOBS.values():
-            service.submit({"kind": kind,
+        pvf = [params for kind, params in JOBS.values() if kind == "pvf"]
+        for params in pvf:
+            service.submit({"kind": "pvf",
                             "params": dict(params, timeout=5)})
-        assert len(service.store.list_jobs()) == len(JOBS)
+        assert len(service.store.list_jobs()) == len(pvf)
 
 
 class TestUnenforceableTimeout:
@@ -319,7 +320,7 @@ class TestUnenforceableTimeout:
         return CampaignService(store, Scheduler(store, tmp_path))
 
     @pytest.mark.parametrize("kind,params", [
-        JOBS["pvf"], JOBS["rtl-transient"], ("pipeline", {})])
+        JOBS["pvf"], ("pipeline", {})])
     def test_in_process_timeout_is_refused(self, service, kind, params):
         with pytest.raises(ApiError, match="cannot be enforced") as caught:
             service.submit({"kind": kind,
@@ -339,4 +340,42 @@ class TestUnenforceableTimeout:
             with pytest.raises(ServiceError,
                                match=r"\(422\).*cannot be enforced"):
                 client.submit("pvf", app="MxM", injections=4, timeout=5)
+            # an rtl job has no timeout to enforce: it is unknown
+            with pytest.raises(ServiceError, match=r"\(400\).*timeout"):
+                client.submit("rtl", faults=4, timeout=5)
             assert client.jobs() == []
+
+
+class TestRtlTimeout:
+    """rtl jobs take no ``timeout``: the SM's cycle watchdog ends every
+    simulated run that hangs, so the parameter is unknown (400) on any
+    daemon, whatever the job's ``jobs``."""
+
+    @pytest.mark.parametrize("execute_jobs", [True, False])
+    def test_an_rtl_timeout_is_an_unknown_parameter(self, tmp_path,
+                                                     execute_jobs):
+        store = JobStore(tmp_path / "jobs.sqlite3")
+        service = CampaignService(
+            store, Scheduler(store, tmp_path, execute_jobs=execute_jobs))
+        for name in ("rtl-transient", "stuck-at", "adaptive-rtl"):
+            kind, params = JOBS[name]
+            for jobs in (1, 2):
+                with pytest.raises(ApiError, match="timeout") as caught:
+                    service.submit({"kind": kind, "params": dict(
+                        params, timeout=5, jobs=jobs)})
+                assert caught.value.status == 400
+                assert "unknown parameter" in str(caught.value)
+        assert store.list_jobs() == []
+
+    def test_normalized_rtl_params_hold_no_timeout(self):
+        kind, params = JOBS["rtl-transient"]
+        assert "timeout" not in normalize_params(kind, params)
+        assert normalize_params("pvf", {"app": "MxM"})["timeout"] is None
+
+    def test_a_stored_rtl_timeout_is_ignored(self):
+        # an rtl job stored by an older daemon may still carry one; each
+        # unit of a stuck-at job is a simulated run it used to guard
+        kind, params = JOBS["stuck-at"]
+        params = normalize_params(kind, params)
+        assert run_job_units(kind, dict(params, timeout=1e-6), 0, 2) == \
+            run_job_units(kind, params, 0, 2)

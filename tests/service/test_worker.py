@@ -221,3 +221,35 @@ class TestEvents:
         # the HTTP access log is an event stream of its own
         assert any('"POST /claim HTTP/1.1" 200' in line
                    for line in events("repro.service.api"))
+
+    def test_idle_claim_polls_leave_no_access_line(self, tmp_path, caplog,
+                                                   monkeypatch):
+        # an idle worker polls twice a second; only claims that hand
+        # out work, and every other request, keep their access line
+        caplog.set_level(logging.INFO, logger="repro")
+        with ServiceDaemon(tmp_path / "svc", port=0) as daemon:
+            empty = []
+            claim = daemon.service.claim
+
+            def counted(payload):
+                claimed = claim(payload)
+                if claimed is None:
+                    empty.append(payload["worker"])
+                return claimed
+
+            monkeypatch.setattr(daemon.service, "claim", counted)
+            deadline = time.monotonic() + 30
+            while len(empty) < 4 and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert len(empty) >= 4
+            client = ServiceClient(daemon.url, timeout=30)
+            job = client.submit("pvf", app="MxM", injections=4, seed=5)
+            assert client.wait(job["id"], timeout=120)["state"] == "done"
+
+        access = [record.getMessage() for record in caplog.records
+                  if record.name == "repro.service.api"]
+        assert not any('"POST /claim HTTP/1.1" 204' in line
+                       for line in access), access
+        assert any('"POST /claim HTTP/1.1" 200' in line for line in access)
+        assert any(f'"POST /jobs/{job["id"]}/units HTTP/1.1" 200' in line
+                   for line in access), access
