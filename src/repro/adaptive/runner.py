@@ -90,7 +90,6 @@ def run_adaptive_pvf_campaign(
     *,
     n_jobs: int = 1,
     batch_size: Optional[int] = None,
-    timeout: Optional[float] = None,
     checkpoint: Optional[Union[str, Path]] = None,
     resume: bool = False,
     metrics: Optional[CampaignMetrics] = None,
@@ -111,7 +110,7 @@ def run_adaptive_pvf_campaign(
 
     spec = pvf_spec(app.name, model.name, n_injections,
                     partial(_SwfiState, app, model), seed=seed,
-                    batch_size=batch_size, timeout=timeout)
+                    batch_size=batch_size)
     return _run_adaptive(spec, config, n_jobs=n_jobs, checkpoint=checkpoint,
                          resume=resume, metrics=metrics, cancel=cancel)
 

@@ -2,10 +2,13 @@
 
 Applications are written against the instrumented
 :class:`~repro.swfi.ops.SassOps` layer; ``run`` must be deterministic for
-a fixed construction seed so golden-vs-faulty comparison is exact, and all
-data-dependent loop bounds must be guarded so corrupted control flow
-raises :class:`~repro.swfi.injector.AppHangError` (a DUE) instead of
-spinning forever.
+a fixed construction seed so golden-vs-faulty comparison is exact, and
+every iteration of a data-dependent loop must run at least one of the
+twelve injectable ops (``SassOps.bra`` is the usual one).  An injected
+run's watchdog counts only those ops, so a loop that obeys this ends,
+when its corrupted bound never does, at the watchdog with
+:class:`~repro.swfi.ops.AppHangError` (a DUE) instead of spinning
+forever.
 """
 
 from __future__ import annotations

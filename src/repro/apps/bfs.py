@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..rng import make_rng
-from ..swfi.injector import AppHangError
 from ..swfi.ops import SassOps
 from .base import GPUApplication
 
@@ -61,12 +60,7 @@ class BreadthFirstSearch(GPUApplication):
         depth[0] = 0
         frontier = np.array([0], dtype=np.int32)
         level = np.int32(0)
-        guard = self.n + 8
-        iterations = 0
         while frontier.size:
-            iterations += 1
-            if iterations > guard:
-                raise AppHangError("BFS frontier never drained")
             level = ops.iadd(level, np.int32(1))
             neighbor_lists = []
             for vertex in frontier:

@@ -2,10 +2,11 @@
 
 Integer- and control-dominated, matching its Figure 3 profile: pivot
 comparisons are ISET flags, element movement is GLD/GST pairs, partition
-bookkeeping is IADD, and segment scheduling decisions are BRA.  The
-explicit segment stack is depth-guarded, so corrupted comparisons can at
-worst mis-sort (an SDC) or trip the guard
-(:class:`~repro.swfi.injector.AppHangError` — a DUE), never hang.
+bookkeeping is IADD, and segment scheduling decisions are BRA.  Every
+segment popped off the explicit stack runs a BRA, so a corrupted run
+that livelocks ends at the injector's instruction watchdog
+(:class:`~repro.swfi.ops.AppHangError` — a DUE); a corrupted comparison
+otherwise at worst mis-sorts (an SDC).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..rng import make_rng
-from ..swfi.injector import AppHangError
 from ..swfi.ops import SassOps
 from .base import GPUApplication
 
@@ -35,14 +35,7 @@ class Quicksort(GPUApplication):
     def run(self, ops: SassOps) -> np.ndarray:
         data = ops.gld(self.data).copy()
         stack = [(0, len(data) - 1)]
-        # fault-free quicksort pushes < 2n segments; beyond that the
-        # control flow has been corrupted into a livelock
-        guard = 4 * self.n + 64
-        processed = 0
         while stack:
-            processed += 1
-            if processed > guard:
-                raise AppHangError("quicksort segment stack never drained")
             lo, hi = stack.pop()
             if not ops.bra(lo < hi):
                 continue

@@ -13,13 +13,11 @@ from .checkpoint import CampaignCheckpoint
 from .engine import (
     DEFAULT_BATCH_SIZE,
     Mergeable,
-    UnitTimeout,
     WorkUnit,
     merge_ordered,
     plan_batches,
     plan_units,
     run_units,
-    wall_clock_limit,
 )
 from .telemetry import (
     CampaignMetrics,
@@ -37,7 +35,6 @@ __all__ = [
     "CampaignMetrics",
     "Mergeable",
     "UnitRecord",
-    "UnitTimeout",
     "WorkUnit",
     "discover_metrics",
     "load_metrics",
@@ -48,5 +45,4 @@ __all__ = [
     "render_stats",
     "run_units",
     "validate_metrics",
-    "wall_clock_limit",
 ]

@@ -10,8 +10,11 @@ stopped instead of from scratch.
 A journal written by a killed process may end in a truncated line; such
 lines (and any other line that fails to parse or decode) are skipped
 with a :class:`UserWarning` rather than aborting the resume — the unit
-they described simply re-runs.  When damage is detected the journal is
-compacted on load so it does not warn again on the next resume.
+they described simply re-runs.  A last line that parses but lacks its
+newline (a write cut off just before it) is kept, yet counts as damage
+too, so the next record never glues onto it.  When damage is detected
+the journal is compacted on load so it does not warn again on the next
+resume.
 """
 
 from __future__ import annotations
@@ -78,6 +81,8 @@ class CampaignCheckpoint:
         damaged = False
         with self.path.open() as fh:
             for lineno, line in enumerate(fh, start=1):
+                if not line.endswith("\n"):
+                    damaged = True  # unterminated: compact before appending
                 if not line.strip():
                     continue
                 try:

@@ -7,7 +7,7 @@ one application) whose results must merge into a report that is
 bit-identical no matter how the units were scheduled.  The paper solved
 it with a 12-node ModelSim server; this module is the reusable software
 equivalent, so neither ``repro.rtl`` nor ``repro.swfi`` owns its own
-pool/checkpoint/guard machinery.
+pool/checkpoint machinery.
 
 The engine owns:
 
@@ -21,8 +21,6 @@ The engine owns:
 * **JSONL checkpoint/resume** — completed units are journaled through a
   :class:`~repro.campaign.checkpoint.CampaignCheckpoint` and skipped on
   resume.
-* **Per-unit wall-clock DUE guards** — :func:`wall_clock_limit` converts
-  a runaway unit into a diagnosable timeout instead of a hung campaign.
 * **Progress** — one INFO line per finished unit on this module's
   logger, built from the run's
   :class:`~repro.campaign.telemetry.CampaignMetrics`; silent unless the
@@ -37,10 +35,7 @@ from __future__ import annotations
 
 import logging
 import os
-import signal
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -61,7 +56,7 @@ except ImportError:  # pragma: no cover
     def runtime_checkable(cls):  # type: ignore
         return cls
 
-from ..errors import CampaignCancelled, CampaignError, ReproError
+from ..errors import CampaignCancelled, CampaignError
 from ..rng import spawn_seed_range
 from .checkpoint import CampaignCheckpoint
 from .telemetry import CampaignMetrics
@@ -69,13 +64,11 @@ from .telemetry import CampaignMetrics
 __all__ = [
     "DEFAULT_BATCH_SIZE",
     "Mergeable",
-    "UnitTimeout",
     "WorkUnit",
     "merge_ordered",
     "plan_batches",
     "plan_units",
     "run_units",
-    "wall_clock_limit",
 ]
 
 _log = logging.getLogger(__name__)
@@ -186,72 +179,6 @@ def plan_units(total: int, seed: int,
                  label=label or f"batch {base_index + i}")
         for i, (size, unit_seed) in enumerate(zip(sizes, seeds))
     ]
-
-
-# -- wall-clock guard --------------------------------------------------------
-class UnitTimeout(ReproError):
-    """A work unit exceeded its wall-clock budget."""
-
-
-@contextmanager
-def wall_clock_limit(seconds: Optional[float],
-                     make_exception: Optional[
-                         Callable[[float], BaseException]] = None):
-    """Abort the enclosed block after *seconds* of wall-clock time.
-
-    Uses an interval timer (SIGALRM), which covers runaway numpy loops a
-    pure iteration guard cannot interrupt.  A no-op when no limit is
-    requested.  A limit that cannot be armed — off the main thread, or
-    on a platform without SIGALRM — raises :class:`CampaignError`
-    rather than letting the campaign run unguarded; worker processes
-    run units on their main thread, so ``n_jobs >= 2`` arms it from
-    any thread.  ``make_exception`` maps the budget to the exception to
-    raise (default :class:`UnitTimeout`).
-
-    Guards nest: an inner guard saves the outer guard's remaining
-    budget and re-arms it on exit, so a pipeline-level guard wrapped
-    around per-unit guards still fires.  While the inner guard is armed
-    the outer one is suspended — an outer deadline that passes inside
-    the inner block fires immediately after the inner guard exits.
-    """
-    if not seconds or seconds <= 0:
-        yield
-        return
-    if not hasattr(signal, "SIGALRM"):
-        raise CampaignError(
-            f"a {seconds:g}s wall-clock limit cannot be armed: this "
-            f"platform has no SIGALRM; run without a timeout")
-    if threading.current_thread() is not threading.main_thread():
-        raise CampaignError(
-            f"a {seconds:g}s wall-clock limit cannot be armed on thread "
-            f"{threading.current_thread().name!r}: SIGALRM only "
-            f"interrupts the main thread; run the campaign on the main "
-            f"thread, or use n_jobs >= 2 so its units run in worker "
-            f"processes")
-
-    def _timed_out(signum, frame):
-        if make_exception is not None:
-            raise make_exception(seconds)
-        raise UnitTimeout(
-            f"wall-clock guard: work unit exceeded {seconds:g}s")
-
-    previous = signal.signal(signal.SIGALRM, _timed_out)
-    # setitimer returns the outer guard's remaining (delay, interval):
-    # that budget — minus the time this block consumes — must be
-    # restored on exit, not cleared.
-    outer_remaining, _ = signal.setitimer(signal.ITIMER_REAL,
-                                          float(seconds))
-    entered = time.monotonic()
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-        if outer_remaining > 0.0:
-            elapsed = time.monotonic() - entered
-            # an already-expired outer budget fires as soon as possible
-            signal.setitimer(signal.ITIMER_REAL,
-                             max(outer_remaining - elapsed, 1e-6))
 
 
 # -- worker-process plumbing -------------------------------------------------

@@ -132,7 +132,6 @@ def run_pipeline(workdir: Union[str, Path],
                  injections: int = 300,
                  n_jobs: int = 1,
                  batch_size: Optional[int] = None,
-                 timeout: Optional[float] = None,
                  fresh: bool = False,
                  precision: str = "fp32",
                  cancel: Optional[Callable[[], bool]] = None) -> Dict:
@@ -143,9 +142,6 @@ def run_pipeline(workdir: Union[str, Path],
     *workdir* resumes: finished RTL batches replay from their journals, a
     finished database skips the RTL stages, and finished PVF batches
     replay from theirs.  ``fresh=True`` discards all prior state.
-    ``timeout`` is the wall-clock guard of each PVF stage injection; the
-    RTL stages need none, since the SM's cycle watchdog ends every
-    simulated run that hangs.
     ``precision`` selects the float datapath end to end: the RTL grid
     characterises the matching reduced-precision unit, the syndrome
     database keys its entries by format, and the applications (which
@@ -228,9 +224,8 @@ def run_pipeline(workdir: Union[str, Path],
                 f"pvf/{app_name}/{model_name}")
             report = run_pvf_campaign(
                 app, model, injections, seed=seed, n_jobs=n_jobs,
-                batch_size=batch_size, timeout=timeout,
-                checkpoint=journal, resume=resume, metrics=pvf_metrics,
-                cancel=cancel)
+                batch_size=batch_size, checkpoint=journal, resume=resume,
+                metrics=pvf_metrics, cancel=cancel)
             stage_metrics.append(pvf_metrics.to_dict())
             low, high = report.confidence_interval()
             pvf_results.append({

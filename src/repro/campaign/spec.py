@@ -107,7 +107,8 @@ class CampaignSpec:
         injector); otherwise ``state_factory`` builds one per worker.
         ``checkpoint``/``resume`` journal finished units and replay them,
         and a checkpointed run writes its telemetry next to the journal
-        (:func:`~repro.campaign.telemetry.emit_metrics`).  ``consume``,
+        (:func:`~repro.campaign.telemetry.emit_metrics`), also when it
+        stops early — cancelled, interrupted or failing.  ``consume``,
         ``collect``, ``metrics`` and ``cancel`` go to
         :func:`~repro.campaign.engine.run_units`; a fixed run sets the
         collector's ``total_units`` to its unit count, an adaptive one
@@ -161,5 +162,5 @@ class CampaignSpec:
         finally:
             if journal is not None:
                 journal.close()
-        emit_metrics(metrics, checkpoint)
+            emit_metrics(metrics, checkpoint)
         return results

@@ -72,7 +72,7 @@ class UnitRecord:
     queue_wait: float = 0.0     # submit -> execution start (pool lag)
     cached: bool = False        # replayed from the journal, not re-run
     worker: int = 0             # executing process id (0 = unknown)
-    timeouts: int = 0           # reserved: no report counts guard DUEs
+    timeouts: int = 0           # reserved: no level has a wall-clock guard
     retries: int = 0            # reserved: engine does not retry yet
     outcomes: Dict[str, int] = field(default_factory=dict)
     injections: int = 0

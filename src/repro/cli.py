@@ -227,8 +227,7 @@ def _cmd_pvf(args: argparse.Namespace) -> int:
             outcome = run_adaptive_pvf_campaign(
                 app, model, args.injections, config, seed=args.seed,
                 n_jobs=args.jobs, batch_size=args.batch_size,
-                timeout=args.timeout, checkpoint=checkpoint,
-                resume=args.resume)
+                checkpoint=checkpoint, resume=args.resume)
             report = outcome.report
             stop = ("converged" if outcome.converged
                     else "plan exhausted")
@@ -239,8 +238,8 @@ def _cmd_pvf(args: argparse.Namespace) -> int:
             report = run_pvf_campaign(
                 app, model, args.injections, seed=args.seed,
                 injector=injector, n_jobs=args.jobs,
-                batch_size=args.batch_size, timeout=args.timeout,
-                checkpoint=checkpoint, resume=args.resume)
+                batch_size=args.batch_size, checkpoint=checkpoint,
+                resume=args.resume)
         low, high = report.confidence_interval()
         print(f"{app.name} under {model.name}: PVF {report.pvf:.3f} "
               f"(95% CI [{low:.3f}, {high:.3f}], "
@@ -277,8 +276,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         args.workdir, seed=args.seed, opcodes=opcodes,
         grid_faults=args.grid_faults, tmxm_faults=args.tmxm_faults,
         apps=args.apps, models=models, injections=args.injections,
-        n_jobs=args.jobs, batch_size=args.batch_size,
-        timeout=args.timeout, fresh=args.fresh, precision=args.precision)
+        n_jobs=args.jobs, batch_size=args.batch_size, fresh=args.fresh,
+        precision=args.precision)
     db = summary["database"]
     print(f"syndrome database: {db['entries']} entries, "
           f"{db['tmxm_entries']} t-MxM entries")
@@ -415,7 +414,7 @@ def _client(args: argparse.Namespace):
 
 
 #: submit flags forwarded verbatim as job parameters when provided
-_SUBMIT_PARAMS = ("seed", "jobs", "batch_size", "timeout", "budget",
+_SUBMIT_PARAMS = ("seed", "jobs", "batch_size", "budget",
                   "app", "model", "injections", "opcode", "module",
                   "range", "faults", "apps", "models", "opcodes",
                   "grid_faults", "tmxm_faults", "precision",
@@ -661,9 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["bitflip", "syndrome", "both"])
     pvf.add_argument("--injections", type=int, default=300)
     pvf.add_argument("--seed", type=int, default=0)
-    pvf.add_argument("--timeout", type=float, default=None,
-                     help="wall-clock seconds per injected run before it "
-                          "is classified as a DUE")
     pvf.add_argument("--checkpoint", default=None,
                      help="JSONL journal of completed batches (with "
                           "--model both, one file per model is derived "
@@ -742,10 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument("--model", default="both",
                           choices=["bitflip", "syndrome", "both"])
     pipeline.add_argument("--injections", type=int, default=300)
-    pipeline.add_argument("--timeout", type=float, default=None,
-                          help="wall-clock seconds per PVF-stage injected "
-                               "run (RTL runs end at the SM's cycle "
-                               "watchdog)")
     pipeline.add_argument("--fresh", action="store_true",
                           help="ignore existing checkpoints and database "
                                "in --workdir and start over")
@@ -818,10 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--jobs", type=int, default=None,
                         help="worker processes for the job's campaign")
     submit.add_argument("--batch-size", type=int, default=None)
-    submit.add_argument("--timeout", type=float, default=None,
-                        help="pvf / pipeline jobs: wall-clock seconds per "
-                             "software-injected run (rtl jobs take none; "
-                             "the SM's cycle watchdog ends their hangs)")
     submit.add_argument("--budget", type=float, default=None,
                         help="wall-clock seconds for the whole job; an "
                              "over-budget job fails (requeue to resume)")

@@ -7,11 +7,7 @@ Endpoints (all JSON unless noted):
   (400 on error, an empty campaign included), a saturated queue answers
   429 when the daemon was started with a queue-depth limit, and a
   coordinator without a scheduler answers 422 to pipeline jobs, which
-  no worker can claim.  A daemon that runs jobs itself answers 422 to a
-  ``timeout`` on a ``jobs=1`` pvf or pipeline job: its local worker and
-  pipeline runner are threads, where the SWFI wall-clock guard cannot
-  fire.  rtl jobs take no ``timeout`` (400): the SM's cycle watchdog
-  ends every simulated run that hangs, on any thread.
+  no worker can claim.
 * ``GET /jobs`` (``?state=queued|running|done|failed|cancelled``) —
   list jobs.
 * ``GET /jobs/<id>`` — one job, plus ``telemetry``: the live
@@ -159,17 +155,6 @@ class CampaignService:
                 422, "workers cannot claim a pipeline job — pipelines "
                      "run only on a daemon's own scheduler, and this one "
                      "was started with --no-scheduler")
-        if (self.scheduler.execute_jobs
-                and params.get("timeout") is not None
-                and params["jobs"] < 2):
-            # the wall-clock guard is a SIGALRM timer, which only a main
-            # thread can take; pool processes and remote workers run
-            # units on theirs, this daemon's local worker on a thread
-            raise ApiError(
-                422, "this daemon would run the job on one of its own "
-                     "threads, where a timeout cannot be enforced; set "
-                     "jobs >= 2 or submit to a --no-scheduler "
-                     "coordinator whose workers run it")
         if self.max_queue_depth is not None:
             depth = self.store.count_states()["queued"]
             if depth >= self.max_queue_depth:

@@ -103,17 +103,15 @@ _COMMON_KEYS = {"seed", "jobs", "batch_size", "budget", "precision"}
 #: ``units_per_claim`` caps how many units one claim hands out, and the
 #: adaptive trio (``target_ci``/``strategy``/``min_per_cell``) switches
 #: the job to sequential sampling over a moving unit horizon.
-#: ``timeout`` is the SWFI wall-clock guard, so rtl jobs have none: the
-#: SM's cycle watchdog ends every simulated run that hangs.
 _KIND_KEYS = {
-    "pvf": _COMMON_KEYS | {"timeout", "app", "model", "injections",
+    "pvf": _COMMON_KEYS | {"app", "model", "injections",
                            "units_per_claim", "target_ci", "strategy",
                            "min_per_cell"},
     "rtl": _COMMON_KEYS | {"opcode", "module", "range", "faults",
                            "units_per_claim", "target_ci", "strategy",
                            "min_per_cell", "fault_model", "apps",
                            "burst_width", "burst_window"},
-    "pipeline": _COMMON_KEYS | {"timeout", "apps", "models", "opcodes",
+    "pipeline": _COMMON_KEYS | {"apps", "models", "opcodes",
                                 "grid_faults", "tmxm_faults",
                                 "injections"},
 }
@@ -242,11 +240,9 @@ def normalize_params(kind: str, params: Optional[dict]) -> dict:
         "seed": _require_int(params, "seed", 0),
         "jobs": _require_int(params, "jobs", 1, minimum=1),
         "batch_size": _require_int(params, "batch_size", None, minimum=1),
+        "budget": _require_number(params, "budget"),
+        "precision": _require_precision(params),
     }
-    if kind != "rtl":
-        out["timeout"] = _require_number(params, "timeout")
-    out.update(budget=_require_number(params, "budget"),
-               precision=_require_precision(params))
     precision = out["precision"]
     if kind == "pvf":
         app = _canonical_app(params.get("app"), APP_FACTORIES)
@@ -364,8 +360,7 @@ def job_spec(kind: str, params: dict):
 
         return pvf_spec(params["app"], _MODEL_NAMES[params["model"]],
                         params["injections"], partial(_pvf_state, params),
-                        seed=params["seed"], batch_size=params["batch_size"],
-                        timeout=params["timeout"])
+                        seed=params["seed"], batch_size=params["batch_size"])
     if kind == "rtl" and fault_model == "stuck-at":
         from ..rtl.campaign import signature_spec
 
@@ -650,7 +645,6 @@ def execute_job(job: Job, jobdir: Union[str, Path],
             tmxm_faults=params["tmxm_faults"], apps=params["apps"],
             models=params["models"], injections=params["injections"],
             n_jobs=params["jobs"], batch_size=params["batch_size"],
-            timeout=params["timeout"],
             precision=params.get("precision", "fp32"), cancel=cancel)
     except CampaignCancelled as exc:
         if state["why"] == "budget":

@@ -170,14 +170,13 @@ class PVFReport:
 
 
 def run_pvf_batch(app, model: FaultModel, size: int, seed: int,
-                  injector: Optional[SoftwareInjector] = None,
-                  timeout: Optional[float] = None) -> PVFReport:
+                  injector: Optional[SoftwareInjector] = None) -> PVFReport:
     """Run one batch of *size* injections from its own child seed."""
     injector = injector or SoftwareInjector(app)
     rng = make_rng(seed)
     report = PVFReport(app_name=app.name, model_name=model.name)
     for _ in range(size):
-        report.add(injector.inject_one(model, rng, timeout=timeout))
+        report.add(injector.inject_one(model, rng))
     return report
 
 
@@ -196,17 +195,15 @@ class _SwfiState:
         self.injector = injector or SoftwareInjector(app)
 
 
-def _run_swfi_unit(state: _SwfiState, unit: WorkUnit,
-                   timeout: Optional[float] = None) -> PVFReport:
+def _run_swfi_unit(state: _SwfiState, unit: WorkUnit) -> PVFReport:
     """Engine unit runner: one batch of software injections."""
     return run_pvf_batch(state.app, state.model, unit.size, unit.seed,
-                         injector=state.injector, timeout=timeout)
+                         injector=state.injector)
 
 
 def pvf_spec(app_name: str, model_name: str, n_injections: int,
              state_factory, *, seed: int = 0,
-             batch_size: Optional[int] = None,
-             timeout: Optional[float] = None) -> CampaignSpec:
+             batch_size: Optional[int] = None) -> CampaignSpec:
     """The spec of one PVF campaign: see :func:`run_pvf_campaign`.
 
     Built from names, so the service can plan a job without building
@@ -229,7 +226,7 @@ def pvf_spec(app_name: str, model_name: str, n_injections: int,
         cells=[Cell(label, plan_units(n_injections, seed, batch_size),
                     empty)],
         header=header, schema="pvf-report", stage=f"pvf/{label}",
-        run_unit=partial(_run_swfi_unit, timeout=timeout),
+        run_unit=_run_swfi_unit,
         state_factory=state_factory)
 
 
@@ -239,7 +236,6 @@ def run_pvf_campaign(app, model: FaultModel, n_injections: int,
                      injector: Optional[SoftwareInjector] = None,
                      n_jobs: int = 1,
                      batch_size: Optional[int] = None,
-                     timeout: Optional[float] = None,
                      checkpoint: Optional[Union[str, Path]] = None,
                      resume: bool = False,
                      metrics: Optional[CampaignMetrics] = None,
@@ -253,9 +249,7 @@ def run_pvf_campaign(app, model: FaultModel, n_injections: int,
     golden/profile pass runs once per worker.  For a fixed
     ``(seed, batch_size)`` the merged report is bit-identical across any
     ``n_jobs``.  ``checkpoint``/``resume`` journal completed batches to a
-    JSONL file and skip them on restart; ``timeout`` bounds each injected
-    run's wall-clock seconds, converting runaways into DUEs (off the
-    main thread it needs ``n_jobs >= 2``).  ``metrics`` collects
+    JSONL file and skip them on restart.  ``metrics`` collects
     per-batch telemetry (a fresh collector when None; written next to
     the journal of a checkpointed run); ``n_injections=0`` yields an
     empty report.  To inject only until the PVF interval is tight, use
@@ -263,7 +257,7 @@ def run_pvf_campaign(app, model: FaultModel, n_injections: int,
     """
     spec = pvf_spec(app.name, model.name, n_injections,
                     partial(_SwfiState, app, model), seed=seed,
-                    batch_size=batch_size, timeout=timeout)
+                    batch_size=batch_size)
     state = None if injector is None else _SwfiState(app, model, injector)
     results = spec.run(n_jobs=n_jobs, state=state, checkpoint=checkpoint,
                        resume=resume, metrics=metrics, cancel=cancel)

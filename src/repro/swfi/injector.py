@@ -19,29 +19,16 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..campaign.engine import wall_clock_limit
 from ..errors import ReproError
 from ..gpu.isa import Opcode
 from ..rtl.classify import Outcome
 from .models import FaultModel
-from .ops import SassOps
+from .ops import AppHangError, SassOps
 
 __all__ = ["AppHangError", "InjectionResult", "SoftwareInjector"]
 
-
-class AppHangError(ReproError):
-    """An application exceeded its iteration or wall-clock guard (a DUE)."""
-
-
-def _hang_after(seconds: float) -> AppHangError:
-    return AppHangError(
-        f"wall-clock guard: injected run exceeded {seconds:g}s")
-
-
-def _wall_clock_limit(seconds: Optional[float]):
-    """SIGALRM guard around an injected run (shared engine implementation),
-    raising :class:`AppHangError` so the run classifies as a DUE."""
-    return wall_clock_limit(seconds, make_exception=_hang_after)
+#: the rule shape of the RTL injector's cycle watchdog
+_WATCHDOG_FACTOR = 10
 
 
 @dataclass(frozen=True)
@@ -98,13 +85,13 @@ class SoftwareInjector:
 
     # -- injection ----------------------------------------------------------------
     def inject_one(self, model: FaultModel,
-                   rng: np.random.Generator,
-                   timeout: Optional[float] = None) -> InjectionResult:
+                   rng: np.random.Generator) -> InjectionResult:
         """Corrupt one random dynamic instruction and classify the run.
 
-        ``timeout`` bounds the injected run's wall-clock seconds; a run
-        that exceeds it is classified as a DUE (the hang the paper's
-        watchdog would reset) instead of stalling the campaign.
+        A run still going after ``max(10 x golden injectable
+        instructions, 2000)`` of them ends in the :class:`SassOps`
+        watchdog: a DUE whose detail reads ``AppHangError: watchdog
+        expired after <n> dynamic instructions``.
         """
         golden = self.run_golden()
         total = self.injectable_total
@@ -115,10 +102,10 @@ class SoftwareInjector:
         span = model.sample_span(rng)
         ops = SassOps(target=target,
                       corruptor=model(rng, precision=self.precision),
-                      span=span, precision=self.precision)
+                      span=span, precision=self.precision,
+                      max_instructions=max(_WATCHDOG_FACTOR * total, 2_000))
         try:
-            with _wall_clock_limit(timeout):
-                observed = ops.run(self.app)
+            observed = ops.run(self.app)
         except (AppHangError, FloatingPointError, ZeroDivisionError,
                 IndexError, ValueError, OverflowError) as exc:
             return InjectionResult(

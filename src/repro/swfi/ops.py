@@ -30,21 +30,30 @@ glue code, executes under one ``np.errstate(all="ignore")`` scope.  The
 ops themselves set no floating-point policy; calling
 ``app.run(SassOps())`` directly gets numpy's default warnings.
 
+An injected run's hang guard is an instruction watchdog, the twin of
+the SM's cycle watchdog: an op that carries the injectable dynamic index
+past ``max_instructions`` raises :class:`AppHangError` (a DUE).  Every
+iteration of an application's data-dependent loop runs an injectable
+op, so a corrupted loop bound ends there on any host and thread.
+
 Every op is on the hot path of a campaign (each injection re-runs the
 whole app), so an op only pays for what it needs: operands already in the
-storage dtype are not cast, and an op wholly outside the injection window
-only advances the opcode tally and the dynamic index.
+storage dtype are not cast, and an op that ends before the next stop —
+the injection window's start, then the watchdog bound — only advances
+the opcode tally and the dynamic index.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
+from ..errors import ReproError
 from ..gpu.isa import Opcode
 
-__all__ = ["SassOps", "ArrayLike"]
+__all__ = ["AppHangError", "SassOps", "ArrayLike"]
 
 ArrayLike = Union[np.ndarray, float, int]
 
@@ -58,6 +67,10 @@ INJECTABLE_OPCODES = (
 )
 
 
+class AppHangError(ReproError):
+    """An injected run never finished: its watchdog expired (a DUE)."""
+
+
 class SassOps:
     """Instrumented vectorised SASS operations.
 
@@ -68,13 +81,16 @@ class SassOps:
     output gets corrupted.  ``precision`` selects the float format the
     arithmetic ops compute in; corruptors receive their precision at
     model-bind time (:meth:`repro.swfi.models.FaultModel.__call__`), so
-    the corruptor protocol itself is unchanged.  ``target``, ``corruptor``
-    and ``span`` are fixed at construction.
+    the corruptor protocol itself is unchanged.  ``max_instructions``
+    bounds the injectable dynamic index: an op that carries it past the
+    bound raises :class:`AppHangError`.  ``target``, ``corruptor``,
+    ``span`` and ``max_instructions`` are fixed at construction.
     """
 
     def __init__(self, target: Optional[int] = None,
                  corruptor: Optional[Callable] = None,
-                 span: int = 1, precision: str = "fp32") -> None:
+                 span: int = 1, precision: str = "fp32",
+                 max_instructions: Optional[int] = None) -> None:
         if span < 1:
             raise ValueError("span must be at least 1")
         if precision not in ("fp32", "fp16", "bf16"):
@@ -100,12 +116,18 @@ class SassOps:
         #: execution order (len > 1 iff the span crossed an op boundary)
         self.corrupted_opcodes: List[Opcode] = []
         self.n_corrupted = 0
+        self._limit = (sys.maxsize if max_instructions is None
+                       else max_instructions)
         #: the dynamic indices ``[lo, hi)`` whose outputs are corrupted;
-        #: empty (every index is past it) when nothing is targeted
+        #: empty (every index is past it) when nothing is targeted.  An op
+        #: that ends at or before ``_next_stop`` (the window's start, then
+        #: the watchdog bound) needs nothing but its counters.
         if target is None or corruptor is None:
             self._window_lo = self._window_hi = 0
+            self._next_stop = self._limit
         else:
             self._window_lo, self._window_hi = target, target + span
+            self._next_stop = min(target, self._limit)
 
     def run(self, app, **kwargs):
         """Execute *app* through this layer under the per-run IEEE policy.
@@ -143,34 +165,40 @@ class SassOps:
         self.counts[opcode] += n
         start = self.dynamic_index
         self.dynamic_index = end = start + n
-        if start >= self._window_hi or end <= self._window_lo:
-            return result  # wholly outside the window: counter only
-        return self._corrupt(opcode, result, operands, is_float, start)
+        if end <= self._next_stop:
+            return result  # before the next stop: counter only
+        return self._past_stop(opcode, result, operands, is_float, start)
 
-    def _corrupt(self, opcode: Opcode, result: np.ndarray,
-                 operands: "tuple", is_float: bool,
-                 start: int) -> np.ndarray:
-        """Corrupt the elements of one op that fall inside the window.
+    def _past_stop(self, opcode: Opcode, result: np.ndarray,
+                   operands: "tuple", is_float: bool,
+                   start: int) -> np.ndarray:
+        """Corrupt the op's elements inside the window, then check the
+        watchdog.
 
         The window may have started in an earlier op (a multi-thread span
         crossing an op boundary); the injection is attributed to the
         first op it corrupts.
         """
+        end = self.dynamic_index
         lo = max(self._window_lo, start)
-        hi = min(self._window_hi, start + result.size)
-        if lo >= hi:
-            return result
-        result = result.copy()
-        flat = result.reshape(-1)
-        for index in range(lo - start, hi - start):
-            element_operands = tuple(
-                _element(op, index) for op in operands)
-            flat[index] = self.corruptor(
-                opcode, flat[index].item(), element_operands, is_float)
-            self.n_corrupted += 1
-        self.corrupted_opcodes.append(opcode)
-        if self.injected is None:
-            self.injected = opcode
+        hi = min(self._window_hi, end)
+        if lo < hi:
+            result = result.copy()
+            flat = result.reshape(-1)
+            for index in range(lo - start, hi - start):
+                element_operands = tuple(
+                    _element(op, index) for op in operands)
+                flat[index] = self.corruptor(
+                    opcode, flat[index].item(), element_operands, is_float)
+                self.n_corrupted += 1
+            self.corrupted_opcodes.append(opcode)
+            if self.injected is None:
+                self.injected = opcode
+        if end >= self._window_hi:
+            self._next_stop = self._limit  # the window is spent
+        if end > self._limit:
+            raise AppHangError(
+                f"watchdog expired after {end} dynamic instructions")
         return result
 
     # -- float coercion and rounding ------------------------------------------------
@@ -315,10 +343,10 @@ class SassOps:
         self.counts[Opcode.BRA] += 1
         index = self.dynamic_index
         self.dynamic_index = index + 1
-        if index >= self._window_hi or index < self._window_lo:
-            return bool(condition)  # outside the window: counter only
+        if index < self._next_stop:
+            return bool(condition)  # before the next stop: counter only
         flag = np.array([1 if condition else 0], dtype=np.int32)
-        flag = self._corrupt(Opcode.BRA, flag, (flag,), False, index)
+        flag = self._past_stop(Opcode.BRA, flag, (flag,), False, index)
         return bool(flag[0] & 1)
 
 

@@ -103,6 +103,24 @@ class TestDamageTolerance:
                                          decode=decode)
         assert resumed.completed == {0: 0}
 
+    def test_unterminated_last_record_is_kept_and_not_glued_onto(
+            self, tmp_path):
+        # a kill between a record's body and its newline leaves a line
+        # that parses; the next record must not be appended onto it
+        path = tmp_path / "c.jsonl"
+        _journal(path, n_batches=2).close()
+        path.write_text(path.read_text()[:-1])
+        resumed = CampaignCheckpoint(path, HEADER, resume=True)
+        assert sorted(resumed.completed) == [0, 1]
+        resumed.record(2, {"value": 2})
+        resumed.close()
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reopened = CampaignCheckpoint(path, HEADER, resume=True)
+        assert sorted(reopened.completed) == [0, 1, 2]
+
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "c.jsonl"
         _journal(path, n_batches=1)

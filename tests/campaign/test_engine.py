@@ -1,6 +1,5 @@
 """Level-agnostic campaign engine: planning, execution, merge order."""
 
-import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -12,13 +11,11 @@ from repro.campaign import (
     DEFAULT_BATCH_SIZE,
     CampaignCheckpoint,
     Mergeable,
-    UnitTimeout,
     WorkUnit,
     merge_ordered,
     plan_batches,
     plan_units,
     run_units,
-    wall_clock_limit,
 )
 from repro.errors import CampaignError
 from repro.rng import spawn_seed_range
@@ -208,111 +205,6 @@ class TestCheckpointedRun:
                       decode=TallyReport.from_dict),
                   consume=lambda index, report: order.append(index))
         assert order == [0, 1]  # fully cached, still streamed in order
-
-
-def slow_unit(state, unit):
-    with wall_clock_limit(0.2):
-        time.sleep(5)
-    return TallyReport()
-
-
-class TestWallClock:
-    def test_expires_with_unit_timeout(self):
-        start = time.perf_counter()
-        with pytest.raises(UnitTimeout):
-            slow_unit(None, None)
-        assert time.perf_counter() - start < 3.0
-
-    def test_custom_exception_factory(self):
-        with pytest.raises(RuntimeError, match="0.1"):
-            with wall_clock_limit(0.1,
-                                  lambda s: RuntimeError(f"after {s}")):
-                time.sleep(5)
-
-    def test_no_limit_is_noop(self):
-        with wall_clock_limit(None):
-            pass
-        with wall_clock_limit(0):
-            pass
-
-    def test_inner_guard_restores_outer_budget(self):
-        # issue: the inner guard used to cancel the outer timer outright
-        with pytest.raises(UnitTimeout):
-            with wall_clock_limit(0.4):
-                with wall_clock_limit(5):
-                    time.sleep(0.05)  # well inside the inner budget
-                time.sleep(5)  # the restored outer guard must fire here
-
-    def test_inner_timeout_leaves_outer_armed(self):
-        with pytest.raises(UnitTimeout):
-            with wall_clock_limit(0.5):
-                with pytest.raises(UnitTimeout):
-                    with wall_clock_limit(0.1):
-                        time.sleep(5)
-                time.sleep(5)  # outer still armed after the inner fired
-
-    def test_outer_deadline_passed_inside_inner_fires_immediately(self):
-        start = time.perf_counter()
-        with pytest.raises(UnitTimeout):
-            with wall_clock_limit(0.1):
-                with wall_clock_limit(5):
-                    time.sleep(0.3)  # outlives the suspended outer budget
-                time.sleep(5)  # must be interrupted almost at once
-        assert time.perf_counter() - start < 2.0
-
-
-def _on_a_thread(call):
-    """Run *call* on a fresh thread; return what it raised (or None)."""
-    raised = []
-
-    def target():
-        try:
-            call()
-        except Exception as exc:  # noqa: BLE001 - handed to the test
-            raised.append(exc)
-
-    thread = threading.Thread(target=target, name="campaign-thread")
-    thread.start()
-    thread.join()
-    return raised[0] if raised else None
-
-
-def _pvf_overrunning():
-    from repro.apps import make_application
-    from repro.swfi import SingleBitFlip, run_pvf_campaign
-
-    return run_pvf_campaign(make_application("MxM", seed=1),
-                            SingleBitFlip(), 6, seed=1, timeout=1e-6)
-
-
-def _adaptive_pvf_overrunning():
-    from repro.adaptive import run_adaptive_pvf_campaign
-    from repro.apps import make_application
-    from repro.swfi import SingleBitFlip
-
-    return run_adaptive_pvf_campaign(make_application("MxM", seed=1),
-                                     SingleBitFlip(), 6, seed=1,
-                                     timeout=1e-6).report
-
-
-class TestUnarmableTimeout:
-    """A timeout SIGALRM cannot enforce fails the campaign loudly
-    instead of running it unguarded."""
-
-    def test_off_the_main_thread_the_guard_refuses(self):
-        raised = _on_a_thread(lambda: wall_clock_limit(5).__enter__())
-        assert isinstance(raised, CampaignError)
-        assert "campaign-thread" in str(raised)
-        assert "main thread" in str(raised)
-        assert "n_jobs >= 2" in str(raised)
-
-    @pytest.mark.parametrize("campaign", [_pvf_overrunning,
-                                          _adaptive_pvf_overrunning])
-    def test_a_campaign_with_a_timeout_raises_on_a_thread(self, campaign):
-        assert isinstance(_on_a_thread(campaign), CampaignError)
-
-    def test_on_the_main_thread_every_guarded_run_times_out(self):
-        assert _pvf_overrunning().n_due == 6
 
 
 class TestMetricsThreading:

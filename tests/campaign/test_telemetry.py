@@ -221,6 +221,34 @@ class TestFilesAndDiscovery:
         assert (tmp_path / "c.metrics.json").exists()
         emit_metrics(None, journal)  # opt-out stays silent
 
+    def test_a_cancelled_checkpointed_run_keeps_its_metrics(self, tmp_path):
+        from repro.apps import make_application
+        from repro.errors import CampaignCancelled
+        from repro.swfi import SingleBitFlip, run_pvf_campaign
+
+        polls = []
+
+        def cancel_after_two_units():
+            polls.append(None)
+            return len(polls) > 2
+
+        journal = tmp_path / "pvf.jsonl"
+        with pytest.raises(CampaignCancelled):
+            run_pvf_campaign(make_application("MxM", seed=1),
+                             SingleBitFlip(), 8, seed=1, batch_size=2,
+                             checkpoint=journal,
+                             cancel=cancel_after_two_units)
+        assert len(journal.read_text().splitlines()) == 3  # header + 2
+        saved = metrics_path_for(journal).read_bytes()
+        assert json.loads(saved)["units_done"] == 2
+        assert json.loads(saved)["total_units"] == 4
+        # another campaign's resume is refused before it could overwrite
+        with pytest.raises(CampaignError, match="different campaign"):
+            run_pvf_campaign(make_application("MxM", seed=1),
+                             SingleBitFlip(), 6, seed=1, batch_size=2,
+                             checkpoint=journal, resume=True)
+        assert metrics_path_for(journal).read_bytes() == saved
+
     def test_discover_workdir_prefers_combined(self, tmp_path):
         stage = CampaignMetrics("solo")
         stage.save(tmp_path / "solo.metrics.json")

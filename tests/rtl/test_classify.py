@@ -54,8 +54,8 @@ class TestClassifyRun:
         assert value.flipped_bits == [0, 1, 3]
 
     def test_due_classification_shape(self):
-        # DUE runs never reach classify_run: the injector (or the unit
-        # timeout) builds the record directly — pin its shape
+        # DUE runs never reach classify_run: the injector builds the
+        # record directly — pin its shape
         due = RunClassification(Outcome.DUE,
                                 due_reason="GpuHangError: deadlock")
         assert due.outcome is Outcome.DUE

@@ -298,67 +298,23 @@ class TestCoordinatorOnlySubmit:
             with pytest.raises(ServiceError, match=r"\(422\).*pipeline"):
                 client.submit("pipeline")
 
-    def test_coordinators_accept_a_timeout(self, service):
-        # workers run their units on their main thread, where the SWFI
-        # wall-clock guard fires
-        pvf = [params for kind, params in JOBS.values() if kind == "pvf"]
-        for params in pvf:
-            service.submit({"kind": "pvf",
-                            "params": dict(params, timeout=5)})
-        assert len(service.store.list_jobs()) == len(pvf)
 
-
-class TestUnenforceableTimeout:
-    """A daemon runs ``jobs=1`` jobs on its own threads — the local
-    worker's, the pipeline runner's — where the SIGALRM wall-clock guard
-    is a no-op: it must refuse their ``timeout`` rather than accept it
-    silently."""
-
-    @pytest.fixture
-    def service(self, tmp_path):
-        store = JobStore(tmp_path / "jobs.sqlite3")
-        return CampaignService(store, Scheduler(store, tmp_path))
-
-    @pytest.mark.parametrize("kind,params", [
-        JOBS["pvf"], ("pipeline", {})])
-    def test_in_process_timeout_is_refused(self, service, kind, params):
-        with pytest.raises(ApiError, match="cannot be enforced") as caught:
-            service.submit({"kind": kind,
-                            "params": dict(params, timeout=5)})
-        assert caught.value.status == 422
-        assert service.store.list_jobs() == []
-
-    def test_pool_jobs_keep_their_timeout(self, service):
-        job = service.submit({"kind": "pvf",
-                              "params": {"app": "MxM", "timeout": 5,
-                                         "jobs": 2}})
-        assert job["params"]["timeout"] == 5
-
-    def test_http_answer_names_the_reason(self, tmp_path):
-        with ServiceDaemon(tmp_path / "svc", port=0) as daemon:
-            client = ServiceClient(daemon.url, timeout=30.0)
-            with pytest.raises(ServiceError,
-                               match=r"\(422\).*cannot be enforced"):
-                client.submit("pvf", app="MxM", injections=4, timeout=5)
-            # an rtl job has no timeout to enforce: it is unknown
-            with pytest.raises(ServiceError, match=r"\(400\).*timeout"):
-                client.submit("rtl", faults=4, timeout=5)
-            assert client.jobs() == []
-
-
-class TestRtlTimeout:
-    """rtl jobs take no ``timeout``: the SM's cycle watchdog ends every
-    simulated run that hangs, so the parameter is unknown (400) on any
-    daemon, whatever the job's ``jobs``."""
+class TestTimeout:
+    """No job kind takes a ``timeout``: a hung run ends at a watchdog
+    that counts simulated work — the SM's cycles for rtl jobs, the
+    ``SassOps`` dynamic instructions for pvf and pipeline jobs — so the
+    parameter is unknown (400) on any daemon, whatever the job's
+    ``jobs``."""
 
     @pytest.mark.parametrize("execute_jobs", [True, False])
-    def test_an_rtl_timeout_is_an_unknown_parameter(self, tmp_path,
-                                                     execute_jobs):
+    def test_a_timeout_is_an_unknown_parameter(self, tmp_path,
+                                               execute_jobs):
         store = JobStore(tmp_path / "jobs.sqlite3")
         service = CampaignService(
             store, Scheduler(store, tmp_path, execute_jobs=execute_jobs))
-        for name in ("rtl-transient", "stuck-at", "adaptive-rtl"):
-            kind, params = JOBS[name]
+        for kind, params in [JOBS["pvf"], JOBS["adaptive-pvf"],
+                             ("pipeline", {}), JOBS["rtl-transient"],
+                             JOBS["stuck-at"], JOBS["adaptive-rtl"]]:
             for jobs in (1, 2):
                 with pytest.raises(ApiError, match="timeout") as caught:
                     service.submit({"kind": kind, "params": dict(
@@ -367,15 +323,14 @@ class TestRtlTimeout:
                 assert "unknown parameter" in str(caught.value)
         assert store.list_jobs() == []
 
-    def test_normalized_rtl_params_hold_no_timeout(self):
-        kind, params = JOBS["rtl-transient"]
-        assert "timeout" not in normalize_params(kind, params)
-        assert normalize_params("pvf", {"app": "MxM"})["timeout"] is None
+    def test_normalized_params_hold_no_timeout(self):
+        for kind, params in [*JOBS.values(), ("pipeline", {})]:
+            assert "timeout" not in normalize_params(kind, params)
 
-    def test_a_stored_rtl_timeout_is_ignored(self):
-        # an rtl job stored by an older daemon may still carry one; each
-        # unit of a stuck-at job is a simulated run it used to guard
-        kind, params = JOBS["stuck-at"]
+    @pytest.mark.parametrize("name", ["pvf", "stuck-at"])
+    def test_a_stored_timeout_is_ignored(self, name):
+        # a job stored by an older daemon may still carry one
+        kind, params = JOBS[name]
         params = normalize_params(kind, params)
         assert run_job_units(kind, dict(params, timeout=1e-6), 0, 2) == \
             run_job_units(kind, params, 0, 2)

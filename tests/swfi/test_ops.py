@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gpu.isa import Opcode
-from repro.swfi.ops import SassOps
+from repro.swfi.ops import AppHangError, SassOps
 
 
 class TestCounting:
@@ -156,6 +156,46 @@ class TestInjectionWindow:
             True, False, False, False]
         assert ops.counts[Opcode.BRA] == 4
         assert ops.injected is Opcode.BRA
+
+
+class TestWatchdog:
+    """``max_instructions`` bounds the injectable dynamic index."""
+
+    @staticmethod
+    def _targeted(**kwargs):
+        return SassOps(target=2, corruptor=lambda op, g, o, f: 99,
+                       max_instructions=10, **kwargs)
+
+    def test_a_run_may_reach_the_bound_but_not_pass_it(self):
+        ops = self._targeted()
+        flags = ops.iset(np.zeros(4, np.int32), 0, "eq")
+        ops.gld(np.zeros(5, np.float32))
+        assert ops.bra(True)  # index 10: exactly the bound
+        assert flags[2] == 99 and ops.injected is Opcode.ISET
+        with pytest.raises(AppHangError, match=(
+                r"^watchdog expired after 11 dynamic instructions$")):
+            ops.bra(True)
+
+    def test_an_op_crossing_the_bound_reports_its_end(self):
+        ops = self._targeted()
+        ops.gld(np.zeros(6, np.float32))
+        with pytest.raises(AppHangError, match="after 14 "):
+            ops.fadd(np.zeros(8, np.float32), np.float32(0.0))
+
+    def test_only_injectable_ops_count(self):
+        ops = self._targeted()
+        ops.gld(np.zeros(10, np.float32))
+        ops.rcp(np.ones(64, np.float32))
+        ops.other(1000)
+        assert ops.dynamic_index == 10
+
+    def test_a_bound_past_the_window_start_still_fires(self):
+        ops = SassOps(target=50, corruptor=lambda op, g, o, f: 99,
+                      max_instructions=10)
+        with pytest.raises(AppHangError, match="after 11 "):
+            for _ in range(11):
+                ops.bra(True)
+        assert ops.injected is None
 
 
 class TestKnownDefects:

@@ -6,7 +6,7 @@ report is bit-identical whether the batches ran serially, across worker
 processes, or split over a checkpoint/resume boundary.
 """
 
-import time
+import threading
 
 import numpy as np
 import pytest
@@ -55,16 +55,34 @@ class CountingApp(MixedApp):
         return super().run(ops)
 
 
-class SleepyApp(GPUApplication):
-    """Fast fault-free; sleeps (a runaway loop stand-in) when corrupted."""
+class RunawayApp(GPUApplication):
+    """A BRA loop whose trip count is an IADD result: a flipped high bit
+    of the count asks for up to 2**30 more iterations."""
 
-    name = "sleepy"
+    name = "runaway"
 
     def run(self, ops):
-        out = ops.fadd(np.arange(8, dtype=np.float32), np.float32(1.0))
-        if not np.array_equal(out, np.arange(8, dtype=np.float32) + 1):
-            time.sleep(30)
-        return out
+        count = ops.iadd(np.array([6], np.int32), np.array([2], np.int32))
+        trips = 0
+        while ops.bra(trips < int(count[0])):
+            trips += 1
+        return ops.gst(np.array([trips], np.int32))
+
+
+def _runaway_campaign(n_jobs=1):
+    return run_pvf_campaign(RunawayApp(), SingleBitFlip(), 60, seed=3,
+                            batch_size=10, n_jobs=n_jobs).to_dict()
+
+
+def _on_a_thread(call):
+    """*call*'s return value, computed on a fresh thread."""
+    returned = []
+    thread = threading.Thread(target=lambda: returned.append(call()),
+                              daemon=True)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive(), "the campaign hung on its thread"
+    return returned[0]
 
 
 class TestSeedSharding:
@@ -225,22 +243,30 @@ class TestRunUntil:
         assert outcome.rounds >= 2
 
 
-class TestWallClockGuard:
-    def test_runaway_injection_becomes_due(self):
-        injector = SoftwareInjector(SleepyApp())
-        rng = make_rng(0)
-        start = time.perf_counter()
-        result = injector.inject_one(SingleBitFlip(), rng, timeout=0.2)
-        assert time.perf_counter() - start < 5.0
-        assert result.outcome is Outcome.DUE
-        assert "wall-clock guard" in result.detail
+class TestWatchdog:
+    """A hung injected run ends at the ``SassOps`` instruction watchdog,
+    after the same simulated work on any thread and worker count."""
 
-    def test_fast_run_unaffected_by_timeout(self):
-        injector = SoftwareInjector(MixedApp())
-        rng = make_rng(1)
-        with_guard = injector.inject_one(SingleBitFlip(), rng,
-                                         timeout=30.0)
-        assert with_guard.outcome in (Outcome.SDC, Outcome.MASKED)
+    def test_a_runaway_injection_is_a_watchdog_due(self):
+        injector = SoftwareInjector(RunawayApp())
+        rng = make_rng(0)
+        results = [injector.inject_one(SingleBitFlip(), rng)
+                   for _ in range(40)]
+        dues = [r.detail for r in results if r.outcome is Outcome.DUE]
+        assert dues
+        # golden: 11 injectable instructions, so the bound is the floor
+        assert set(dues) == {
+            "AppHangError: watchdog expired after 2001 dynamic "
+            "instructions"}
+
+    def test_the_campaign_serialises_identically_on_a_thread(self):
+        main = _runaway_campaign()
+        assert main["n_due"] > 0
+        assert _on_a_thread(_runaway_campaign) == main
+
+    @pytest.mark.multicore
+    def test_the_campaign_serialises_identically_on_two_workers(self):
+        assert _runaway_campaign(n_jobs=2) == _runaway_campaign()
 
 
 class TestOpcodeAttribution:
